@@ -13,9 +13,13 @@
 // (p50/p95/p99) split by warm vs cold query batches — a cold batch is
 // the first one after a tenant was (re)built cold, and pays the base
 // expansion + Ψ snapshot; warm batches ride the resident session — plus
-// the cache hit rates. One JSON-lines record per scope lands in
-// BENCH_serve.json; the CI smoke gate requires identical answers and
-// warm p50 <= cold p50.
+// the cache hit rates. The trace runs under the shipped default (lazy
+// expansion, routed by expansion size) and under lazy_expansion=false,
+// alternating, so the default is measured against the eager path on
+// identical traffic. One JSON-lines record per configuration and scope
+// lands in BENCH_serve.json; the CI smoke gate requires identical
+// answers, warm p50 <= cold p50, and the default's cold p50 and warm p95
+// within 1.5x of the eager path's.
 //
 // Usage: bench_serve [--threads=N] [--smoke] [--out=FILE]
 //   --smoke  CI workload: 4 tenants, 8 rounds x 8 queries (256 queries)
@@ -179,6 +183,134 @@ serve::Response RoundTrip(serve::Server* server,
   return decoded_response.value();
 }
 
+/// Latency samples and answer checks of one configuration's replays.
+struct Replay {
+  std::vector<double> open_ms;
+  std::vector<double> query_cold_ms;
+  std::vector<double> query_warm_ms;
+  // Queries answered (not degraded) by each replay, in replay order.
+  std::vector<uint64_t> replay_queries;
+  uint64_t wrong_answers = 0;
+  uint64_t degraded_batches = 0;
+  bool wire_ok = true;
+  serve::StatsResponse stats;
+};
+
+/// Replays the trace once against a fresh server and appends its samples
+/// to `replay`. False on a protocol-level failure (already reported).
+bool RunTrace(std::vector<Tenant>* tenants, int rounds, int batch_size,
+              const serve::ServerOptions& server_options, Replay* replay) {
+  serve::Server server(server_options);
+  uint64_t answered = 0;
+  for (Tenant& tenant : *tenants) {
+    tenant.active_variant = 0;
+    tenant.next_batch_cold = true;
+  }
+
+  auto open_tenant = [&](Tenant* tenant, int variant,
+                         bool expect_warm) -> bool {
+    serve::OpenRequest open;
+    open.name = tenant->name;
+    open.schema_text = tenant->variants[variant].text;
+    double latency = 0.0;
+    serve::Response response =
+        RoundTrip(&server, open, &latency, &replay->wire_ok);
+    auto* opened = std::get_if<serve::OpenedResponse>(&response);
+    if (opened == nullptr) {
+      std::fprintf(stderr, "open '%s' failed\n", tenant->name.c_str());
+      return false;
+    }
+    replay->open_ms.push_back(latency);
+    if (opened->warm != expect_warm) {
+      std::fprintf(stderr, "open '%s': warm=%d, expected %d\n",
+                   tenant->name.c_str(), opened->warm ? 1 : 0,
+                   expect_warm ? 1 : 0);
+      return false;
+    }
+    tenant->active_variant = variant;
+    if (!opened->warm) tenant->next_batch_cold = true;
+    return true;
+  };
+
+  for (int round = 0; round < rounds; ++round) {
+    for (Tenant& tenant : *tenants) {
+      // Trace shape per tenant and round: open cold once, re-open warm
+      // mid-trace, toggle the variant (a cold mutation) at the half-way
+      // and three-quarter marks.
+      if (round == 0) {
+        if (!open_tenant(&tenant, 0, /*expect_warm=*/false)) return false;
+      } else if (round == rounds / 4) {
+        if (!open_tenant(&tenant, tenant.active_variant,
+                         /*expect_warm=*/true)) {
+          return false;
+        }
+      } else if (round == rounds / 2 || round == (3 * rounds) / 4) {
+        serve::MutateRequest mutate;
+        mutate.name = tenant.name;
+        int next = 1 - tenant.active_variant;
+        mutate.schema_text = tenant.variants[next].text;
+        double latency = 0.0;
+        serve::Response response =
+            RoundTrip(&server, mutate, &latency, &replay->wire_ok);
+        auto* opened = std::get_if<serve::OpenedResponse>(&response);
+        if (opened == nullptr || opened->warm) {
+          std::fprintf(stderr, "mutate '%s' did not rebuild cold\n",
+                       tenant.name.c_str());
+          return false;
+        }
+        replay->open_ms.push_back(latency);
+        tenant.active_variant = next;
+        tenant.next_batch_cold = true;
+      }
+
+      Variant& variant = tenant.variants[tenant.active_variant];
+      serve::QueryRequest query;
+      query.name = tenant.name;
+      for (int i = 0; i < batch_size; ++i) {
+        size_t pick = (static_cast<size_t>(round) * 7 +
+                       static_cast<size_t>(i) * 3) %
+                      variant.query_pool.size();
+        query.queries.push_back(variant.query_pool[pick]);
+      }
+
+      double latency = 0.0;
+      serve::Response response =
+          RoundTrip(&server, query, &latency, &replay->wire_ok);
+      auto* answers = std::get_if<serve::AnswersResponse>(&response);
+      if (answers == nullptr) {
+        std::fprintf(stderr, "query '%s' failed\n", tenant.name.c_str());
+        return false;
+      }
+      if (answers->degraded) {
+        ++replay->degraded_batches;
+        continue;
+      }
+      (tenant.next_batch_cold ? replay->query_cold_ms
+                              : replay->query_warm_ms)
+          .push_back(latency);
+      tenant.next_batch_cold = false;
+      answered += query.queries.size();
+
+      for (size_t i = 0; i < query.queries.size(); ++i) {
+        auto expected = OfflineAnswer(&variant, query.queries[i]);
+        if (!expected.ok()) {
+          std::fprintf(stderr, "offline: %s\n",
+                       expected.status().ToString().c_str());
+          return false;
+        }
+        if ((answers->answers[i] == 1) != expected.value()) {
+          ++replay->wrong_answers;
+          std::fprintf(stderr, "ANSWER MISMATCH '%s' query '%s'\n",
+                       tenant.name.c_str(), query.queries[i].c_str());
+        }
+      }
+    }
+  }
+  replay->replay_queries.push_back(answered);
+  replay->stats = server.StatsSnapshot();
+  return true;
+}
+
 int Main(int argc, char** argv) {
   int num_threads = 1;
   bool smoke = false;
@@ -196,6 +328,10 @@ int Main(int argc, char** argv) {
   const int rounds = smoke ? 8 : 16;
   const int batch_size = smoke ? 8 : 16;
   const int pool_size = smoke ? 24 : 48;
+  // Each configuration replays the trace this many times, alternating
+  // with the other, so both see the same machine conditions and the
+  // percentiles rest on pooled samples.
+  const int repeats = 3;
 
   // Four tenants across three schema families; the B variant of each is
   // a structurally different schema, so a mutation really rebuilds.
@@ -235,126 +371,32 @@ int Main(int argc, char** argv) {
     tenants.push_back(std::move(chain2));
   }
 
-  serve::ServerOptions server_options;
-  server_options.num_threads = num_threads;
-  serve::Server server(server_options);
-
-  std::vector<double> open_ms;
-  std::vector<double> query_cold_ms;
-  std::vector<double> query_warm_ms;
-  uint64_t total_queries = 0;
-  uint64_t wrong_answers = 0;
-  uint64_t degraded_batches = 0;
-  bool wire_ok = true;
-
-  auto open_tenant = [&](Tenant* tenant, int variant,
-                         bool expect_warm) -> bool {
-    serve::OpenRequest open;
-    open.name = tenant->name;
-    open.schema_text = tenant->variants[variant].text;
-    double latency = 0.0;
-    serve::Response response =
-        RoundTrip(&server, open, &latency, &wire_ok);
-    auto* opened = std::get_if<serve::OpenedResponse>(&response);
-    if (opened == nullptr) {
-      std::fprintf(stderr, "open '%s' failed\n", tenant->name.c_str());
-      return false;
-    }
-    open_ms.push_back(latency);
-    if (opened->warm != expect_warm) {
-      std::fprintf(stderr, "open '%s': warm=%d, expected %d\n",
-                   tenant->name.c_str(), opened->warm ? 1 : 0,
-                   expect_warm ? 1 : 0);
-      return false;
-    }
-    tenant->active_variant = variant;
-    if (!opened->warm) tenant->next_batch_cold = true;
-    return true;
+  // The shipped default (lazy expansion, routed by expansion size)
+  // against the eager path (lazy_expansion=false) on the same trace.
+  struct Config {
+    const char* name;
+    bool lazy_expansion;
+    Replay replay;
   };
-
-  for (int round = 0; round < rounds; ++round) {
-    for (Tenant& tenant : tenants) {
-      // Trace shape per tenant and round: open cold once, re-open warm
-      // mid-trace, toggle the variant (a cold mutation) at the half-way
-      // and three-quarter marks.
-      if (round == 0) {
-        if (!open_tenant(&tenant, 0, /*expect_warm=*/false)) return 1;
-      } else if (round == rounds / 4) {
-        if (!open_tenant(&tenant, tenant.active_variant,
-                         /*expect_warm=*/true)) {
-          return 1;
-        }
-      } else if (round == rounds / 2 || round == (3 * rounds) / 4) {
-        serve::MutateRequest mutate;
-        mutate.name = tenant.name;
-        int next = 1 - tenant.active_variant;
-        mutate.schema_text = tenant.variants[next].text;
-        double latency = 0.0;
-        serve::Response response =
-            RoundTrip(&server, mutate, &latency, &wire_ok);
-        auto* opened = std::get_if<serve::OpenedResponse>(&response);
-        if (opened == nullptr || opened->warm) {
-          std::fprintf(stderr, "mutate '%s' did not rebuild cold\n",
-                       tenant.name.c_str());
-          return 1;
-        }
-        open_ms.push_back(latency);
-        tenant.active_variant = next;
-        tenant.next_batch_cold = true;
-      }
-
-      Variant& variant = tenant.variants[tenant.active_variant];
-      serve::QueryRequest query;
-      query.name = tenant.name;
-      for (int i = 0; i < batch_size; ++i) {
-        size_t pick = (static_cast<size_t>(round) * 7 +
-                       static_cast<size_t>(i) * 3) %
-                      variant.query_pool.size();
-        query.queries.push_back(variant.query_pool[pick]);
-      }
-
-      double latency = 0.0;
-      serve::Response response =
-          RoundTrip(&server, query, &latency, &wire_ok);
-      auto* answers = std::get_if<serve::AnswersResponse>(&response);
-      if (answers == nullptr) {
-        std::fprintf(stderr, "query '%s' failed\n", tenant.name.c_str());
+  Config configs[] = {{"default", true, {}}, {"eager", false, {}}};
+  for (int repeat = 0; repeat < repeats; ++repeat) {
+    for (int c = 0; c < 2; ++c) {
+      Config& config = configs[repeat % 2 == 0 ? c : 1 - c];
+      serve::ServerOptions server_options;
+      server_options.num_threads = num_threads;
+      server_options.lazy_expansion = config.lazy_expansion;
+      if (!RunTrace(&tenants, rounds, batch_size, server_options,
+                    &config.replay)) {
         return 1;
-      }
-      if (answers->degraded) {
-        ++degraded_batches;
-        continue;
-      }
-      (tenant.next_batch_cold ? query_cold_ms : query_warm_ms)
-          .push_back(latency);
-      tenant.next_batch_cold = false;
-      total_queries += query.queries.size();
-
-      for (size_t i = 0; i < query.queries.size(); ++i) {
-        auto expected = OfflineAnswer(&variant, query.queries[i]);
-        if (!expected.ok()) {
-          std::fprintf(stderr, "offline: %s\n",
-                       expected.status().ToString().c_str());
-          return 1;
-        }
-        if ((answers->answers[i] == 1) != expected.value()) {
-          ++wrong_answers;
-          std::fprintf(stderr, "ANSWER MISMATCH '%s' query '%s'\n",
-                       tenant.name.c_str(), query.queries[i].c_str());
-        }
       }
     }
   }
 
-  serve::StatsResponse stats = server.StatsSnapshot();
-  const double cold_p50 = Percentile(query_cold_ms, 50);
-  const double warm_p50 = Percentile(query_warm_ms, 50);
-  const bool answers_identical = wrong_answers == 0 && wire_ok;
-
-  std::printf("EXP-R: car_serve traffic replay (threads=%d%s)\n\n",
-              num_threads, smoke ? ", smoke" : "");
-  std::printf("| scope | count | p50 (ms) | p95 (ms) | p99 (ms) |\n");
-  std::printf("|---|---|---|---|---|\n");
+  std::printf("EXP-R: car_serve traffic replay (threads=%d%s, %d replays "
+              "per configuration)\n\n",
+              num_threads, smoke ? ", smoke" : "", repeats);
+  std::printf("| config | scope | count | p50 (ms) | p95 (ms) | p99 (ms) |\n");
+  std::printf("|---|---|---|---|---|---|\n");
   bench::JsonLinesFile out(out_path);
   if (!out.ok()) {
     std::fprintf(stderr, "cannot open '%s'\n", out_path.c_str());
@@ -364,25 +406,51 @@ int Main(int argc, char** argv) {
     const char* name;
     const std::vector<double>* values;
   };
-  for (const Scope& scope :
-       {Scope{"open", &open_ms}, Scope{"query_cold", &query_cold_ms},
-        Scope{"query_warm", &query_warm_ms}}) {
-    std::printf("| %s | %zu | %.2f | %.2f | %.2f |\n", scope.name,
-                scope.values->size(), Percentile(*scope.values, 50),
-                Percentile(*scope.values, 95),
-                Percentile(*scope.values, 99));
-    bench::JsonRecord record;
-    record.Add("bench", "serve")
-        .Add("scope", scope.name)
-        .Add("threads", num_threads)
-        .Add("smoke", smoke)
-        .Add("count", static_cast<uint64_t>(scope.values->size()))
-        .Add("p50_ms", Percentile(*scope.values, 50))
-        .Add("p95_ms", Percentile(*scope.values, 95))
-        .Add("p99_ms", Percentile(*scope.values, 99));
-    out.Write(record);
+  for (const Config& config : configs) {
+    const Replay& replay = config.replay;
+    for (const Scope& scope : {Scope{"open", &replay.open_ms},
+                               Scope{"query_cold", &replay.query_cold_ms},
+                               Scope{"query_warm", &replay.query_warm_ms}}) {
+      std::printf("| %s | %s | %zu | %.2f | %.2f | %.2f |\n", config.name,
+                  scope.name, scope.values->size(),
+                  Percentile(*scope.values, 50),
+                  Percentile(*scope.values, 95),
+                  Percentile(*scope.values, 99));
+      bench::JsonRecord record;
+      record.Add("bench", "serve")
+          .Add("config", config.name)
+          .Add("scope", scope.name)
+          .Add("threads", num_threads)
+          .Add("smoke", smoke)
+          .Add("count", static_cast<uint64_t>(scope.values->size()))
+          .Add("p50_ms", Percentile(*scope.values, 50))
+          .Add("p95_ms", Percentile(*scope.values, 95))
+          .Add("p99_ms", Percentile(*scope.values, 99));
+      out.Write(record);
+    }
   }
 
+  const Replay& lazy = configs[0].replay;
+  const Replay& eager = configs[1].replay;
+  const double cold_p50 = Percentile(lazy.query_cold_ms, 50);
+  const double warm_p50 = Percentile(lazy.query_warm_ms, 50);
+  const double warm_p95 = Percentile(lazy.query_warm_ms, 95);
+  const double eager_cold_p50 = Percentile(eager.query_cold_ms, 50);
+  const double eager_warm_p95 = Percentile(eager.query_warm_ms, 95);
+  const bool answers_identical = lazy.wrong_answers == 0 && lazy.wire_ok &&
+                                 eager.wrong_answers == 0 && eager.wire_ok;
+  // Every replay of either configuration answers the same batches, so
+  // `queries` is one replay's count; the smallest is reported, and any
+  // disagreement fails the run below.
+  std::vector<uint64_t> replay_queries = lazy.replay_queries;
+  replay_queries.insert(replay_queries.end(), eager.replay_queries.begin(),
+                        eager.replay_queries.end());
+  const uint64_t queries =
+      *std::min_element(replay_queries.begin(), replay_queries.end());
+  const bool replays_agree =
+      queries ==
+      *std::max_element(replay_queries.begin(), replay_queries.end());
+  const serve::StatsResponse& stats = lazy.stats;
   const double hit_rate =
       stats.lookup_hits + stats.lookup_misses > 0
           ? static_cast<double>(stats.lookup_hits) /
@@ -394,13 +462,21 @@ int Main(int argc, char** argv) {
       .Add("scope", "summary")
       .Add("threads", num_threads)
       .Add("smoke", smoke)
+      .Add("repeats", repeats)
       .Add("tenants", static_cast<uint64_t>(tenants.size()))
-      .Add("queries", total_queries)
+      .Add("queries", queries)
       .Add("answers_identical", answers_identical)
-      .Add("degraded_batches", degraded_batches)
+      .Add("degraded_batches", lazy.degraded_batches + eager.degraded_batches)
       .Add("warm_p50_ms", warm_p50)
       .Add("cold_p50_ms", cold_p50)
+      .Add("warm_p95_ms", warm_p95)
       .Add("warm_vs_cold", cold_p50 > 0 ? warm_p50 / cold_p50 : 0.0)
+      .Add("eager_cold_p50_ms", eager_cold_p50)
+      .Add("eager_warm_p95_ms", eager_warm_p95)
+      .Add("cold_p50_vs_eager",
+           eager_cold_p50 > 0 ? cold_p50 / eager_cold_p50 : 0.0)
+      .Add("warm_p95_vs_eager",
+           eager_warm_p95 > 0 ? warm_p95 / eager_warm_p95 : 0.0)
       .Add("opens", stats.opens)
       .Add("warm_opens", stats.warm_opens)
       .Add("replacements", stats.replacements)
@@ -410,11 +486,15 @@ int Main(int argc, char** argv) {
       .Add("resident_bytes", stats.resident_bytes);
   out.Write(summary);
 
-  std::printf("\n%llu queries over %zu tenants; warm p50 %.2f ms vs cold "
-              "p50 %.2f ms; lookup hit rate %.2f; %llu wrong answer(s)\n",
-              static_cast<unsigned long long>(total_queries),
-              tenants.size(), warm_p50, cold_p50, hit_rate,
-              static_cast<unsigned long long>(wrong_answers));
+  std::printf("\n%llu queries over %zu tenants per replay; default: "
+              "warm p50 %.2f ms, cold p50 %.2f ms (eager %.2f ms), warm p95 "
+              "%.2f ms (eager %.2f ms); lookup hit rate %.2f; %llu wrong "
+              "answer(s)\n",
+              static_cast<unsigned long long>(queries),
+              tenants.size(), warm_p50, cold_p50, eager_cold_p50, warm_p95,
+              eager_warm_p95, hit_rate,
+              static_cast<unsigned long long>(lazy.wrong_answers +
+                                              eager.wrong_answers));
   std::printf("wrote %s\n", out_path.c_str());
 
   if (!answers_identical) {
@@ -422,11 +502,15 @@ int Main(int argc, char** argv) {
                          "wire round trip broke)\n");
     return 1;
   }
-  if (degraded_batches != 0) {
+  if (!replays_agree) {
+    std::fprintf(stderr, "FAIL: replays answered different query counts\n");
+    return 1;
+  }
+  if (lazy.degraded_batches + eager.degraded_batches != 0) {
     std::fprintf(stderr, "FAIL: unexpected degraded batches\n");
     return 1;
   }
-  if (!query_warm_ms.empty() && !query_cold_ms.empty() &&
+  if (!lazy.query_warm_ms.empty() && !lazy.query_cold_ms.empty() &&
       warm_p50 > cold_p50) {
     std::fprintf(stderr, "FAIL: warm p50 above cold p50\n");
     return 1;

@@ -1,8 +1,26 @@
 #include "analysis/pair_tables.h"
 
+#include <algorithm>
+
 #include "base/check.h"
 
 namespace car {
+
+namespace {
+
+/// Inserts `value` into the sorted row; false if it was already there.
+bool InsertSorted(std::vector<ClassId>* row, ClassId value) {
+  auto it = std::lower_bound(row->begin(), row->end(), value);
+  if (it != row->end() && *it == value) return false;
+  row->insert(it, value);
+  return true;
+}
+
+bool ContainsSorted(const std::vector<ClassId>& row, ClassId value) {
+  return std::binary_search(row.begin(), row.end(), value);
+}
+
+}  // namespace
 
 void PairTables::EnsureSize() {
   if (static_cast<int>(disjoint_.size()) < num_classes_) {
@@ -17,8 +35,8 @@ void PairTables::MarkDisjoint(ClassId a, ClassId b) {
   CAR_CHECK_GE(b, 0);
   CAR_CHECK_LT(b, num_classes_);
   EnsureSize();
-  if (disjoint_[a].insert(b).second) ++num_disjoint_pairs_;
-  disjoint_[b].insert(a);
+  if (InsertSorted(&disjoint_[a], b)) ++num_disjoint_pairs_;
+  InsertSorted(&disjoint_[b], a);
 }
 
 void PairTables::MarkIncluded(ClassId subclass, ClassId superclass) {
@@ -28,31 +46,33 @@ void PairTables::MarkIncluded(ClassId subclass, ClassId superclass) {
   CAR_CHECK_LT(superclass, num_classes_);
   if (subclass == superclass) return;  // Reflexive inclusions are trivial.
   EnsureSize();
-  if (superclasses_[subclass].insert(superclass).second) {
+  if (InsertSorted(&superclasses_[subclass], superclass)) {
     ++num_inclusion_pairs_;
   }
 }
 
 bool PairTables::AreDisjoint(ClassId a, ClassId b) const {
   if (disjoint_.empty()) return false;
-  return disjoint_[a].count(b) > 0;
+  return ContainsSorted(disjoint_[a], b);
 }
 
 bool PairTables::IsIncluded(ClassId subclass, ClassId superclass) const {
   if (superclasses_.empty()) return false;
-  return superclasses_[subclass].count(superclass) > 0;
+  return ContainsSorted(superclasses_[subclass], superclass);
 }
 
-const std::set<ClassId>& PairTables::SuperclassesOf(ClassId subclass) const {
-  static const std::set<ClassId>* empty = new std::set<ClassId>();
+const std::vector<ClassId>& PairTables::SuperclassesOf(
+    ClassId subclass) const {
+  static const std::vector<ClassId>* empty = new std::vector<ClassId>();
   if (superclasses_.empty()) return *empty;
   CAR_CHECK_GE(subclass, 0);
   CAR_CHECK_LT(subclass, num_classes_);
   return superclasses_[subclass];
 }
 
-const std::set<ClassId>& PairTables::DisjointFrom(ClassId class_id) const {
-  static const std::set<ClassId>* empty = new std::set<ClassId>();
+const std::vector<ClassId>& PairTables::DisjointFrom(
+    ClassId class_id) const {
+  static const std::vector<ClassId>* empty = new std::vector<ClassId>();
   if (disjoint_.empty()) return *empty;
   CAR_CHECK_GE(class_id, 0);
   CAR_CHECK_LT(class_id, num_classes_);
@@ -91,7 +111,10 @@ PairTables BuildPairTables(const Schema& schema,
   while (changed) {
     changed = false;
     for (ClassId c = 0; c < schema.num_classes(); ++c) {
-      // Snapshot: the loops below mutate the tables.
+      // Snapshots of the rows the loops below may grow: c's own
+      // superclasses, and the enemies of a self-disjoint superclass,
+      // which gain c. Later passes see the additions, and the closure is
+      // the same in any order.
       std::vector<ClassId> supers(tables.SuperclassesOf(c).begin(),
                                   tables.SuperclassesOf(c).end());
       for (ClassId super : supers) {
@@ -103,7 +126,9 @@ PairTables BuildPairTables(const Schema& schema,
           }
         }
         // Disjointness inherited through inclusion.
-        for (ClassId enemy : tables.DisjointFrom(super)) {
+        std::vector<ClassId> enemies(tables.DisjointFrom(super).begin(),
+                                     tables.DisjointFrom(super).end());
+        for (ClassId enemy : enemies) {
           if (!tables.AreDisjoint(c, enemy)) {
             tables.MarkDisjoint(c, enemy);
             changed = true;

@@ -2,7 +2,6 @@
 #define CAR_ANALYSIS_PAIR_TABLES_H_
 
 #include <cstddef>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -30,10 +29,10 @@ class PairTables {
   bool AreDisjoint(ClassId a, ClassId b) const;
   bool IsIncluded(ClassId subclass, ClassId superclass) const;
 
-  /// All superclasses recorded for `subclass` (not reflexive).
-  const std::set<ClassId>& SuperclassesOf(ClassId subclass) const;
-  /// All classes recorded disjoint from `class_id`.
-  const std::set<ClassId>& DisjointFrom(ClassId class_id) const;
+  /// All superclasses recorded for `subclass` (not reflexive), ascending.
+  const std::vector<ClassId>& SuperclassesOf(ClassId subclass) const;
+  /// All classes recorded disjoint from `class_id`, ascending.
+  const std::vector<ClassId>& DisjointFrom(ClassId class_id) const;
 
   size_t num_disjoint_pairs() const { return num_disjoint_pairs_; }
   size_t num_inclusion_pairs() const { return num_inclusion_pairs_; }
@@ -45,8 +44,10 @@ class PairTables {
   int num_classes_;
   size_t num_disjoint_pairs_ = 0;
   size_t num_inclusion_pairs_ = 0;
-  std::vector<std::set<ClassId>> disjoint_;    // Symmetric adjacency.
-  std::vector<std::set<ClassId>> superclasses_;  // subclass -> supers.
+  // Sorted adjacency rows: one allocation per class rather than one per
+  // entry, which union-free completion makes quadratic.
+  std::vector<std::vector<ClassId>> disjoint_;    // Symmetric adjacency.
+  std::vector<std::vector<ClassId>> superclasses_;  // subclass -> supers.
 };
 
 struct PairTableOptions {

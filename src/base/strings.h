@@ -1,22 +1,39 @@
 #ifndef CAR_BASE_STRINGS_H_
 #define CAR_BASE_STRINGS_H_
 
+#include <charconv>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace car {
 
 namespace internal {
 
-inline void StrCatAppend(std::ostringstream&) {}
-
-template <typename T, typename... Rest>
-void StrCatAppend(std::ostringstream& os, const T& first,
-                  const Rest&... rest) {
-  os << first;
-  StrCatAppend(os, rest...);
+/// Appends the streamed representation of `value`. Strings and integers
+/// are appended directly, with exactly the characters operator<< would
+/// produce (std::to_chars matches the default integer formatting); any
+/// other type goes through a stream. Saves the stream set-up that
+/// dominated short concatenations such as memo keys and printed schemas.
+template <typename T>
+void StrAppendOne(std::string* out, const T& value) {
+  if constexpr (std::is_convertible_v<const T&, std::string_view>) {
+    out->append(std::string_view(value));
+  } else if constexpr (std::is_integral_v<T> && !std::is_same_v<T, bool> &&
+                       !std::is_same_v<T, char> &&
+                       !std::is_same_v<T, signed char> &&
+                       !std::is_same_v<T, unsigned char>) {
+    char buffer[24];
+    auto [end, error] = std::to_chars(buffer, buffer + sizeof(buffer), value);
+    (void)error;  // 24 chars hold every 64-bit integer.
+    out->append(buffer, end);
+  } else {
+    std::ostringstream os;
+    os << value;
+    out->append(os.str());
+  }
 }
 
 }  // namespace internal
@@ -24,23 +41,23 @@ void StrCatAppend(std::ostringstream& os, const T& first,
 /// Concatenates the streamed representations of all arguments.
 template <typename... Args>
 std::string StrCat(const Args&... args) {
-  std::ostringstream os;
-  internal::StrCatAppend(os, args...);
-  return os.str();
+  std::string out;
+  (internal::StrAppendOne(&out, args), ...);
+  return out;
 }
 
 /// Joins the streamed representations of the elements of `items` with
 /// `separator` between consecutive elements.
 template <typename Container>
 std::string StrJoin(const Container& items, std::string_view separator) {
-  std::ostringstream os;
+  std::string out;
   bool first = true;
   for (const auto& item : items) {
-    if (!first) os << separator;
+    if (!first) out.append(separator);
     first = false;
-    os << item;
+    internal::StrAppendOne(&out, item);
   }
-  return os.str();
+  return out;
 }
 
 /// Splits `text` at each occurrence of `separator`; empty pieces are kept.

@@ -1,6 +1,8 @@
 #include "expansion/expansion.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <optional>
 #include <set>
 
 #include "analysis/clusters.h"
@@ -88,11 +90,19 @@ int PrefixBits(size_t positions, int threads) {
 /// for every thread count, with num_threads = 1 as the serial reference.
 class ExpansionBuilder {
  public:
-  ExpansionBuilder(const Schema& schema, const ExpansionOptions& options)
-      : schema_(schema), options_(options), exec_(options.exec) {
+  ExpansionBuilder(const Schema& schema, const ExpansionOptions& options,
+                   size_t compound_bound = SIZE_MAX)
+      : schema_(schema),
+        options_(options),
+        exec_(options.exec),
+        compound_bound_(compound_bound) {
     parallel_.num_threads = options.num_threads;
     parallel_.cancel = options.exec;
   }
+
+  /// True once the enumeration emitted more than `compound_bound`
+  /// non-empty compound classes; Build() then failed without a trip.
+  bool bound_exceeded() const { return bound_exceeded_; }
 
   Result<Expansion> Build() {
     expansion_.schema = &schema_;
@@ -183,7 +193,7 @@ class ExpansionBuilder {
     std::vector<ShardOutput> outputs(shards.size());
     ParallelFor(shards.size(), parallel_,
                 [this, &shards, &tables, &outputs](size_t begin, size_t end) {
-                  for (size_t s = begin; s < end; ++s) {
+                  for (size_t s = begin; s < end && !bound_exceeded_; ++s) {
                     RunPrunedShard(shards[s], tables, &outputs[s]);
                   }
                 });
@@ -203,7 +213,7 @@ class ExpansionBuilder {
     std::vector<ShardOutput> outputs(num_shards);
     ParallelFor(num_shards, parallel_,
                 [this, prefix_bits, &outputs](size_t begin, size_t end) {
-                  for (size_t s = begin; s < end; ++s) {
+                  for (size_t s = begin; s < end && !bound_exceeded_; ++s) {
                     RunExhaustiveShard(s, prefix_bits, &outputs[s]);
                   }
                 });
@@ -306,6 +316,14 @@ class ExpansionBuilder {
   /// the cap already implies the merged total exceeds it). Returns false
   /// once the shard is dead.
   bool EmitCompound(CompoundClass compound, ShardOutput* out) {
+    // The caller's bound is an answer, not a limit: stop without
+    // recording a trip. Counted across shards, which is only meaningful
+    // for the serial enumeration BuildExpansionWithinBound runs.
+    if (compound_bound_ != SIZE_MAX && emitted_++ >= compound_bound_) {
+      bound_exceeded_ = true;
+      out->status = FailedPrecondition("compound bound exceeded");
+      return false;
+    }
     if (out->compounds.size() >= options_.max_compound_classes) {
       out->status = GovRecordTrip(exec_, LimitKind::kMaxCompoundClasses,
                                   "expansion", options_.max_compound_classes,
@@ -622,12 +640,28 @@ class ExpansionBuilder {
   ExecContext* exec_;
   ParallelForOptions parallel_;
   Expansion expansion_;
+  const size_t compound_bound_;
+  size_t emitted_ = 0;
+  bool bound_exceeded_ = false;
 };
 
 Result<Expansion> BuildExpansion(const Schema& schema,
                                  const ExpansionOptions& options) {
   CAR_RETURN_IF_ERROR(schema.Validate());
   return ExpansionBuilder(schema, options).Build();
+}
+
+Result<std::optional<Expansion>> BuildExpansionWithinBound(
+    const Schema& schema, const ExpansionOptions& options,
+    size_t max_compounds) {
+  CAR_RETURN_IF_ERROR(schema.Validate());
+  ExpansionOptions serial = options;
+  serial.num_threads = 1;
+  ExpansionBuilder builder(schema, serial, max_compounds);
+  Result<Expansion> expansion = builder.Build();
+  if (builder.bound_exceeded()) return std::optional<Expansion>();
+  CAR_RETURN_IF_ERROR(expansion.status());
+  return std::optional<Expansion>(std::move(expansion).value());
 }
 
 Result<Expansion> AssembleExpansion(const Schema& schema,

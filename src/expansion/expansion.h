@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <map>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -134,6 +135,19 @@ struct ExpansionOptions {
 /// Builds the expansion of a validated schema.
 Result<Expansion> BuildExpansion(const Schema& schema,
                                  const ExpansionOptions& options = {});
+
+/// Builds the expansion of a validated schema if its enumeration yields
+/// at most `max_compounds` non-empty compound classes, and returns
+/// nullopt as soon as it yields more. Exceeding this bound is an answer,
+/// not a limit: unlike max_compound_classes it records no trip on
+/// options.exec, which is still charged for the work done and observed
+/// for cancellation and budgets exactly as in BuildExpansion. Runs
+/// serially, so the work charged before the bound stops the enumeration
+/// does not depend on options.num_threads; a completed build is
+/// bit-identical to BuildExpansion's and charges the same work.
+Result<std::optional<Expansion>> BuildExpansionWithinBound(
+    const Schema& schema, const ExpansionOptions& options,
+    size_t max_compounds);
 
 /// Assembles the expansion artifact over an explicitly given compound
 /// class set instead of enumerating one: prepends the empty compound

@@ -45,6 +45,16 @@ class Scalar {
   /// Converts from Rational: small iff the reduced value fits in words.
   explicit Scalar(const Rational& value);
 
+  /// The small value num/den of a fraction already in lowest terms with
+  /// den > 0: what Scalar(Rational(num, den)) holds, without the BigInt
+  /// round trip. For codecs that have validated both conditions.
+  static Scalar FromReduced(int64_t num, int64_t den) {
+    Scalar value;
+    value.num_ = num;
+    value.den_ = den;
+    return value;
+  }
+
   Scalar(const Scalar& other) : num_(other.num_), den_(other.den_) {
     if (other.big_ != nullptr) big_ = new Rational(*other.big_);
   }
@@ -79,6 +89,9 @@ class Scalar {
 
   /// True while the value is held in the int64 fast path.
   bool is_small() const { return big_ == nullptr; }
+  /// Numerator and denominator of a small value (is_small()).
+  int64_t small_numerator() const { return num_; }
+  int64_t small_denominator() const { return den_; }
 
   bool is_zero() const { return big_ == nullptr && num_ == 0; }
   bool is_negative() const {

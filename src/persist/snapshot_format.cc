@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cstring>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -65,9 +66,26 @@ class Writer {
     // (small iff the reduced value fits int64), so serializing the exact
     // Rational value loses nothing: Scalar(Rational) restores the same
     // form on decode.
+    if (value.is_small()) {
+      // The limbs of the reduced int64 fraction, exactly as PutBigInt /
+      // PutMagnitude would write its BigInt form.
+      const int64_t num = value.small_numerator();
+      PutU8(num == 0 ? 0 : (num > 0 ? 1 : 2));
+      PutMagnitudeU64(num < 0 ? 0 - static_cast<uint64_t>(num)
+                              : static_cast<uint64_t>(num));
+      PutMagnitudeU64(static_cast<uint64_t>(value.small_denominator()));
+      return;
+    }
     Rational rational = value.ToRational();
     PutBigInt(rational.numerator());
     PutMagnitude(rational.denominator());
+  }
+  void PutMagnitudeU64(uint64_t magnitude) {
+    const uint32_t count =
+        magnitude == 0 ? 0 : (magnitude >> 32 == 0 ? 1 : 2);
+    PutU32(count);
+    if (count >= 1) PutU32(static_cast<uint32_t>(magnitude));
+    if (count == 2) PutU32(static_cast<uint32_t>(magnitude >> 32));
   }
   void PutCardinality(const Cardinality& value) {
     PutU64(value.min());
@@ -165,26 +183,16 @@ class Reader {
           StrCat("bad bigint sign byte ", static_cast<int>(sign_byte)));
     }
     const int sign = sign_byte == 0 ? 0 : (sign_byte == 1 ? 1 : -1);
-    uint32_t count = 0;
-    CAR_RETURN_IF_ERROR(ReadCount(&count, 4, "bigint limb"));
-    std::vector<uint32_t> limbs(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      CAR_RETURN_IF_ERROR(ReadU32(&limbs[i]));
-    }
-    CAR_ASSIGN_OR_RETURN(*value,
-                         BigInt::FromParts(sign, limbs.data(), limbs.size()));
+    CAR_RETURN_IF_ERROR(ReadLimbs());
+    CAR_ASSIGN_OR_RETURN(*value, BigInt::FromParts(sign, limbs_.data(),
+                                                   limbs_.size()));
     return Status::Ok();
   }
   Status ReadMagnitude(BigInt* value) {
-    uint32_t count = 0;
-    CAR_RETURN_IF_ERROR(ReadCount(&count, 4, "bigint limb"));
-    std::vector<uint32_t> limbs(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      CAR_RETURN_IF_ERROR(ReadU32(&limbs[i]));
-    }
+    CAR_RETURN_IF_ERROR(ReadLimbs());
     CAR_ASSIGN_OR_RETURN(
-        *value,
-        BigInt::FromParts(count == 0 ? 0 : 1, limbs.data(), limbs.size()));
+        *value, BigInt::FromParts(limbs_.empty() ? 0 : 1, limbs_.data(),
+                                  limbs_.size()));
     return Status::Ok();
   }
   Status ReadScalar(Scalar* value) {
@@ -197,6 +205,19 @@ class Reader {
     }
     // Canonical-form requirement: the stored fraction must already be in
     // lowest terms, else re-encoding would differ from the input.
+    if (numerator.FitsInt64() && denominator.FitsInt64()) {
+      // Word-sized fraction: the same check and the same small Scalar as
+      // the Rational path below, without BigInt gcds.
+      const int64_t num = numerator.ToInt64();
+      const int64_t den = denominator.ToInt64();
+      const uint64_t magnitude = num < 0 ? 0 - static_cast<uint64_t>(num)
+                                         : static_cast<uint64_t>(num);
+      if (std::gcd(magnitude, static_cast<uint64_t>(den)) != 1) {
+        return ParseError("scalar fraction not in lowest terms");
+      }
+      *value = Scalar::FromReduced(num, den);
+      return Status::Ok();
+    }
     if (BigInt::Gcd(numerator, denominator) != BigInt(1)) {
       return ParseError("scalar fraction not in lowest terms");
     }
@@ -235,8 +256,21 @@ class Reader {
     return ParseError(StrCat("truncated ", what));
   }
 
+  /// Reads a limb count and that many limbs into limbs_, which is reused
+  /// across calls so decoding a number allocates nothing.
+  Status ReadLimbs() {
+    uint32_t count = 0;
+    CAR_RETURN_IF_ERROR(ReadCount(&count, 4, "bigint limb"));
+    limbs_.resize(count);
+    for (uint32_t i = 0; i < count; ++i) {
+      CAR_RETURN_IF_ERROR(ReadU32(&limbs_[i]));
+    }
+    return Status::Ok();
+  }
+
   std::string_view data_;
   size_t pos_ = 0;
+  std::vector<uint32_t> limbs_;
 };
 
 // --- Section payload codecs -------------------------------------------------

@@ -133,15 +133,13 @@ Status IncrementalSession::EnsureBase() {
   analysis_.reset();
   psi_base_.reset();
   schema_analysis_.reset();
+  lazy_probes_ = false;
   if (options_.lazy_expansion) {
-    // Lazy session: defer the (possibly exponential) full expansion and
-    // snapshot solve to EnsureSolvedBase — a probe that the lazy engine
-    // answers conclusively never pays for them. The analyzer's validity
-    // precondition is established explicitly here, since BuildExpansion
-    // no longer runs first.
-    CAR_RETURN_IF_ERROR(schema_->Validate());
+    CAR_RETURN_IF_ERROR(RouteLazySession());
   } else {
-    CAR_RETURN_IF_ERROR(EnsureSolvedBaseLocked());
+    CAR_ASSIGN_OR_RETURN(Expansion expansion,
+                         BuildExpansion(*schema_, options_.expansion));
+    CAR_RETURN_IF_ERROR(EnsureSolvedBaseLocked(std::move(expansion)));
   }
   if (options_.prefilter) {
     // The prefilter tiers' artifact: propagated closure tables, unsat
@@ -157,29 +155,72 @@ Status IncrementalSession::EnsureBase() {
   return Status::Ok();
 }
 
+size_t IncrementalSession::BaseCompoundBound() const {
+  return kBaseCompoundsPerClass * static_cast<size_t>(schema_->num_classes());
+}
+
+bool IncrementalSession::RoutesLazy(size_t non_empty_compounds) const {
+  return options_.expansion.strategy != ExpansionStrategy::kPruned ||
+         non_empty_compounds > BaseCompoundBound();
+}
+
+Status IncrementalSession::RouteLazySession() {
+  // The analyzer's validity precondition, established explicitly since
+  // a deferred session runs no BuildExpansion first.
+  CAR_RETURN_IF_ERROR(schema_->Validate());
+  lazy_probes_ = true;
+  if (options_.expansion.strategy != ExpansionStrategy::kPruned) {
+    return Status::Ok();
+  }
+  // Serial and governed like every other build, so the decision, the
+  // work it charges and any trip are the same at every thread count.
+  // Overflowing the bound costs only the first few compounds and is not
+  // a trip: the session stays lazy and defers the base build.
+  CAR_ASSIGN_OR_RETURN(std::optional<Expansion> expansion,
+                       BuildExpansionWithinBound(*schema_, options_.expansion,
+                                                 BaseCompoundBound()));
+  if (!expansion.has_value() ||
+      RoutesLazy(expansion->compound_classes.size() - 1)) {
+    return Status::Ok();
+  }
+  lazy_probes_ = false;
+  return EnsureSolvedBaseLocked(std::move(*expansion));
+}
+
 Status IncrementalSession::EnsureSolvedBase() {
   if (base_solved_.load(std::memory_order_acquire)) return Status::Ok();
   // Double-checked: lazy probe workers race here when the delta path is
   // first needed; exactly one pays the build.
   std::lock_guard<std::mutex> lock(base_build_mutex_);
   if (base_solved_.load(std::memory_order_acquire)) return Status::Ok();
-  return EnsureSolvedBaseLocked();
-}
-
-Status IncrementalSession::EnsureSolvedBaseLocked() {
   CAR_ASSIGN_OR_RETURN(Expansion expansion,
                        BuildExpansion(*schema_, options_.expansion));
+  return EnsureSolvedBaseLocked(std::move(expansion));
+}
+
+void IncrementalSession::AdoptPsiBase(IncrementalPsiBase psi_base) {
+  // Fold the base-solve costs into the session counters; a restored base
+  // folds its persisted ones, so stats and memory estimates match a
+  // session that paid the solve itself.
+  scalar_promotions_.fetch_add(psi_base.base_scalar_promotions,
+                               std::memory_order_relaxed);
+  MaxRelaxed(&peak_tableau_nonzeros_, psi_base.base_tableau_nonzeros);
+  MaxRelaxed(&peak_tableau_cells_, psi_base.base_tableau_cells);
+  // The system itself was only needed to solve or validate the snapshot:
+  // probes resume from the snapshot through the variable maps. Releasing
+  // it keeps the resident base, and its teardown, small.
+  psi_base.psi.system = LinearSystem();
+  psi_base_ = std::move(psi_base);
+}
+
+Status IncrementalSession::EnsureSolvedBaseLocked(Expansion expansion) {
   Result<ExpansionBaseAnalysis> analysis =
       AnalyzeBaseExpansion(*schema_, expansion, options_.expansion);
   if (analysis.ok()) {
     CAR_ASSIGN_OR_RETURN(IncrementalPsiBase psi_base,
                          PrepareIncrementalPsi(expansion, options_.solver));
-    scalar_promotions_.fetch_add(psi_base.base_scalar_promotions,
-                                 std::memory_order_relaxed);
-    MaxRelaxed(&peak_tableau_nonzeros_, psi_base.base_tableau_nonzeros);
-    MaxRelaxed(&peak_tableau_cells_, psi_base.base_tableau_cells);
     analysis_ = std::move(analysis.value());
-    psi_base_ = std::move(psi_base);
+    AdoptPsiBase(std::move(psi_base));
   } else if (analysis.status().code() != StatusCode::kFailedPrecondition) {
     return analysis.status();
   }
@@ -240,7 +281,7 @@ Result<bool> IncrementalSession::AuxSatisfiable(
       return sub_solution.IsClassSatisfiable(sub->class_map[aux]);
     }
   }
-  if (options_.lazy_expansion) {
+  if (lazy_probes_) {
     // Lazy probe: try to decide the auxiliary class over a small
     // materialized subset before touching — or, in a deferred session,
     // even building — the full base expansion. Conclusive answers are
@@ -663,16 +704,14 @@ Status IncrementalSession::Deserialize(std::string_view bytes) {
     psi_base.base_scalar_promotions = snapshot.base_scalar_promotions;
     psi_base.base_tableau_nonzeros = snapshot.base_tableau_nonzeros;
     psi_base.base_tableau_cells = snapshot.base_tableau_cells;
-    // Fold the frozen base-solve costs into the session counters exactly
-    // as EnsureBase would after solving, so stats and memory estimates
-    // match a session that paid the solve itself.
-    scalar_promotions_.fetch_add(psi_base.base_scalar_promotions,
-                                 std::memory_order_relaxed);
-    MaxRelaxed(&peak_tableau_nonzeros_, psi_base.base_tableau_nonzeros);
-    MaxRelaxed(&peak_tableau_cells_, psi_base.base_tableau_cells);
     analysis_ = std::move(analysis.value());
-    psi_base_ = std::move(psi_base);
+    AdoptPsiBase(std::move(psi_base));
   }
+  // The same routing a cold build would reach: the restored expansion
+  // is the full one, so its size decides without enumerating again.
+  lazy_probes_ =
+      options_.lazy_expansion &&
+      RoutesLazy(snapshot.expansion.compound_classes.size() - 1);
   base_expansion_ = std::move(snapshot.expansion);
   memo_ = std::move(snapshot.memo);
   fingerprint_ = fingerprint;

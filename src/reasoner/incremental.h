@@ -47,15 +47,17 @@ struct IncrementalStats {
   uint64_t clusters_reused = 0;
   uint64_t clusters_reenumerated = 0;
   /// Base expansions + snapshot solves performed: 1, plus one per
-  /// observed schema-fingerprint change.
+  /// observed schema-fingerprint change (0 while a lazy session defers
+  /// the build).
   uint64_t base_builds = 0;
   /// Base states restored from a persisted snapshot (Deserialize)
   /// instead of solved. Disjoint from base_builds: a restored base pays
   /// no LP solve.
   uint64_t base_restores = 0;
   /// Probes answered conclusively by the lazy expansion engine
-  /// (options.lazy_expansion) before touching — or even building — the
-  /// full base expansion.
+  /// (options.lazy_expansion, on a schema whose expansion blows up; see
+  /// RouteLazySession) before touching — or even building — the full
+  /// base expansion.
   uint64_t lazy_hits = 0;
   /// Refinement rounds and compound classes materialized across all lazy
   /// probes (conclusive or not). Deterministic: the lazy engine is
@@ -182,12 +184,41 @@ class IncrementalSession {
   static std::string CanonicalQueryKey(const ImplicationQuery& query);
 
  private:
+  /// Non-empty compound classes per schema class up to which a lazy
+  /// session builds the solved base at once instead of probing lazily.
+  /// Section 4.4: a generalization hierarchy expands to exactly one
+  /// compound class per class, so its expansion is no larger than the
+  /// lazy engine's partial materializations and the warm-delta path
+  /// wins; lazy CEGAR pays off only where the expansion blows up. The
+  /// factor 2 leaves room for the few overlap compounds of near-
+  /// hierarchies while staying far below blow-up schemas, which reach
+  /// several compounds per class at a handful of unconstrained classes.
+  static constexpr size_t kBaseCompoundsPerClass = 2;
+
   /// Fingerprints the schema; (re)builds base expansion, cluster
   /// analysis and Ψ snapshot and clears the memo when it changed. Under
-  /// options.lazy_expansion only the cheap part runs here (validation,
-  /// static analysis, memo invalidation); the heavy base build is
-  /// deferred to EnsureSolvedBase.
+  /// options.lazy_expansion the session is routed first
+  /// (RouteLazySession): only a session whose expansion blows up defers
+  /// the heavy base build to EnsureSolvedBase and probes lazily.
   Status EnsureBase();
+
+  /// Decides, from the schema alone, whether a lazy session probes
+  /// lazily: enumerates the pruned expansion under BaseCompoundBound()
+  /// and, when it completes, solves the base from it (warm-delta
+  /// probes). Otherwise, and always off the pruned strategy (whose
+  /// enumeration is never cheap), only validates and sets lazy_probes_.
+  Status RouteLazySession();
+
+  /// kBaseCompoundsPerClass times the class count: the most non-empty
+  /// compound classes a lazy session's expansion may have to be routed
+  /// to the solved base.
+  size_t BaseCompoundBound() const;
+
+  /// The routing rule, shared by RouteLazySession and Deserialize: true
+  /// when a lazy session whose pruned expansion has
+  /// `non_empty_compounds` non-empty compound classes probes lazily
+  /// (more than BaseCompoundBound(), or not the pruned strategy).
+  bool RoutesLazy(size_t non_empty_compounds) const;
 
   /// Heavy half of the base build: full expansion, cluster analysis and
   /// warm-startable Ψ snapshot. Idempotent and thread-safe (probe
@@ -195,8 +226,14 @@ class IncrementalSession {
   /// path); no-op when the base is already solved.
   Status EnsureSolvedBase();
 
-  /// The build itself; caller holds base_build_mutex_ or is serial.
-  Status EnsureSolvedBaseLocked();
+  /// Installs a solved (or restored and validated) Ψ base: folds its
+  /// base-solve statistics into the session counters and keeps only what
+  /// probes read.
+  void AdoptPsiBase(IncrementalPsiBase psi_base);
+
+  /// Cluster analysis and Ψ snapshot over the freshly built base
+  /// expansion; caller holds base_build_mutex_ or is serial.
+  Status EnsureSolvedBaseLocked(Expansion expansion);
 
   /// Evaluates one query without consulting the memo. Mirrors the
   /// decision structure of the corresponding Reasoner::Implies* method
@@ -221,12 +258,17 @@ class IncrementalSession {
   // leaves the heavy half to EnsureSolvedBase.
   bool base_ready_ = false;
   std::atomic<bool> base_solved_{false};
+  /// Whether probes run the lazy engine first: set per fingerprint by
+  /// RouteLazySession (or Deserialize), never for eager sessions.
+  bool lazy_probes_ = false;
   std::mutex base_build_mutex_;
   uint64_t fingerprint_ = 0;
   std::optional<Expansion> base_expansion_;
   /// Set iff the incremental path is available for this base (pruned
   /// strategy, analyzable clusters); otherwise every probe falls back.
   std::optional<ExpansionBaseAnalysis> analysis_;
+  /// Solved base snapshot and variable maps; its Ψ system is released
+  /// once solved (AdoptPsiBase).
   std::optional<IncrementalPsiBase> psi_base_;
   /// Static analysis of the base schema backing the prefilter tiers
   /// (options.prefilter); rebuilt with the base on fingerprint change.

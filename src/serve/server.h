@@ -27,7 +27,9 @@ struct ServerOptions {
   /// the serving default since the engine gained sound lazy UNSAT
   /// verdicts (infeasibility certificates): answers are bit-identical
   /// either way, but dense tenant schemas stop paying the eager
-  /// enumeration up front. car_serve --no-lazy-expansion opts out.
+  /// enumeration up front, while hierarchy-shaped ones are routed to the
+  /// solved base at once (IncrementalSession::RouteLazySession).
+  /// car_serve --no-lazy-expansion opts out.
   bool lazy_expansion = true;
   /// Session-cache eviction policy.
   uint64_t max_sessions = 64;

@@ -10,10 +10,11 @@ namespace car {
 
 namespace {
 
-/// Mirrors EmitBoundPair of the Ψ builder: emits up to two constraints
-/// u * Var(C̄) <= sum <= v * Var(C̄) into `out`.
+/// Mirrors EmitBoundPair of the Ψ builder (unnamed rows, like it), but
+/// appends the up to two constraints u * Var(C̄) <= sum <= v * Var(C̄) to
+/// `out` instead of a PsiSystem.
 void AppendBoundPair(int cc_variable, const LinearExpr& sum,
-                     const Cardinality& cardinality, const std::string& label,
+                     const Cardinality& cardinality,
                      std::vector<LinearConstraint>* out) {
   if (cardinality.min() > 0) {
     LinearConstraint lower;
@@ -22,7 +23,6 @@ void AppendBoundPair(int cc_variable, const LinearExpr& sum,
                    Rational(-static_cast<int64_t>(cardinality.min())));
     lower.relation = Relation::kGreaterEqual;
     lower.rhs = Rational(0);
-    lower.label = StrCat(label, " min ", cardinality.min());
     out->push_back(std::move(lower));
   }
   if (cardinality.has_finite_max()) {
@@ -32,7 +32,6 @@ void AppendBoundPair(int cc_variable, const LinearExpr& sum,
                    Rational(-static_cast<int64_t>(cardinality.max())));
     upper.relation = Relation::kLessEqual;
     upper.rhs = Rational(0);
-    upper.label = StrCat(label, " max ", cardinality.max());
     out->push_back(std::move(upper));
   }
 }
@@ -109,7 +108,7 @@ Result<IncrementalPsiBase> BuildIncrementalPsiBaseStructure(
   base.t_var.assign(expansion.compound_classes.size(), -1);
   for (size_t i = 0; i < expansion.compound_classes.size(); ++i) {
     if (!base.cc_constrained[i]) continue;
-    int t = base.psi.system.AddVariable(StrCat("t#", i));
+    int t = base.psi.system.AddVariable(std::string());
     base.t_var[i] = t;
     LinearConstraint below_var;
     below_var.expr.Add(t, Rational(1));
@@ -259,7 +258,6 @@ Result<PartialPsiResult> SolvePsiOverDelta(const Expansion& base,
       }
     }
     AppendBoundPair(var_of_cc(compound_index), sum, cardinality,
-                    StrCat("delta natt #", compound_index),
                     &round_delta.new_constraints);
   }
   for (const auto& [key, cardinality] : delta.new_nrel) {
@@ -271,7 +269,6 @@ Result<PartialPsiResult> SolvePsiOverDelta(const Expansion& base,
       }
     }
     AppendBoundPair(var_of_cc(std::get<2>(key)), sum, cardinality,
-                    StrCat("delta nrel #", std::get<2>(key)),
                     &round_delta.new_constraints);
   }
 

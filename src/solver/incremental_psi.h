@@ -21,7 +21,9 @@ namespace car {
 /// the shared state).
 struct IncrementalPsiBase {
   /// Full system over the base expansion: variable maps cc_var/ca_var/
-  /// cr_var are all >= 0 (nothing inactive).
+  /// cr_var are all >= 0 (nothing inactive). Probes read only the maps,
+  /// so a long-lived holder may release `psi.system` once the snapshot
+  /// is solved or validated against it.
   PsiSystem psi;
   /// Per base compound class: does it carry a Natt/Nrel entry (and hence
   /// a t-gadget)? Intrinsic to the compound's members, so extending the

@@ -1,7 +1,6 @@
 #include "solver/psi.h"
 
 #include "base/check.h"
-#include "base/strings.h"
 
 namespace car {
 
@@ -9,8 +8,7 @@ namespace {
 
 /// Emits u * Var(C̄) <= sum <= v * Var(C̄) as up to two constraints.
 void EmitBoundPair(int cc_variable, const LinearExpr& sum,
-                   const Cardinality& cardinality, const std::string& label,
-                   PsiSystem* psi) {
+                   const Cardinality& cardinality, PsiSystem* psi) {
   if (cardinality.min() > 0) {
     LinearConstraint lower;
     lower.expr = sum;
@@ -18,7 +16,6 @@ void EmitBoundPair(int cc_variable, const LinearExpr& sum,
                    Rational(-static_cast<int64_t>(cardinality.min())));
     lower.relation = Relation::kGreaterEqual;
     lower.rhs = Rational(0);
-    lower.label = StrCat(label, " min ", cardinality.min());
     psi->system.AddConstraint(std::move(lower));
     ++psi->num_disequations;
   }
@@ -29,7 +26,6 @@ void EmitBoundPair(int cc_variable, const LinearExpr& sum,
                    Rational(-static_cast<int64_t>(cardinality.max())));
     upper.relation = Relation::kLessEqual;
     upper.rhs = Rational(0);
-    upper.label = StrCat(label, " max ", cardinality.max());
     psi->system.AddConstraint(std::move(upper));
     ++psi->num_disequations;
   }
@@ -41,7 +37,6 @@ PsiSystem BuildPsiSystem(const Expansion& expansion,
                          const std::vector<bool>& cc_active,
                          const std::vector<bool>& ca_active,
                          const std::vector<bool>& cr_active) {
-  const Schema& schema = *expansion.schema;
   CAR_CHECK_EQ(cc_active.size(), expansion.compound_classes.size());
   CAR_CHECK_EQ(ca_active.size(), expansion.compound_attributes.size());
   CAR_CHECK_EQ(cr_active.size(), expansion.compound_relations.size());
@@ -51,30 +46,16 @@ PsiSystem BuildPsiSystem(const Expansion& expansion,
   psi.ca_var.assign(ca_active.size(), -1);
   psi.cr_var.assign(cr_active.size(), -1);
 
+  // Unknowns and rows stay unnamed: nothing reads Ψ names, and spelling
+  // out every compound was most of the cost of building the system.
   for (size_t i = 0; i < cc_active.size(); ++i) {
-    if (!cc_active[i]) continue;
-    psi.cc_var[i] = psi.system.AddVariable(
-        StrCat("cc:", expansion.compound_classes[i].ToString(schema)));
+    if (cc_active[i]) psi.cc_var[i] = psi.system.AddVariable(std::string());
   }
   for (size_t i = 0; i < ca_active.size(); ++i) {
-    if (!ca_active[i]) continue;
-    const CompoundAttribute& ca = expansion.compound_attributes[i];
-    psi.ca_var[i] = psi.system.AddVariable(
-        StrCat("ca:", schema.AttributeName(ca.attribute), "<",
-               expansion.compound_classes[ca.from].ToString(schema), ",",
-               expansion.compound_classes[ca.to].ToString(schema), ">"));
+    if (ca_active[i]) psi.ca_var[i] = psi.system.AddVariable(std::string());
   }
   for (size_t i = 0; i < cr_active.size(); ++i) {
-    if (!cr_active[i]) continue;
-    const CompoundRelation& cr = expansion.compound_relations[i];
-    std::vector<std::string> parts;
-    for (int component : cr.components) {
-      parts.push_back(
-          expansion.compound_classes[component].ToString(schema));
-    }
-    psi.cr_var[i] = psi.system.AddVariable(
-        StrCat("cr:", schema.RelationName(cr.relation), "<",
-               StrJoin(parts, ","), ">"));
+    if (cr_active[i]) psi.cr_var[i] = psi.system.AddVariable(std::string());
   }
 
   // Natt constraints.
@@ -92,11 +73,7 @@ PsiSystem BuildPsiSystem(const Expansion& expansion,
         }
       }
     }
-    std::string label =
-        StrCat(term.inverse ? "inv " : "", schema.AttributeName(term.attribute),
-               " @ ", expansion.compound_classes[compound_index]
-                          .ToString(schema));
-    EmitBoundPair(psi.cc_var[compound_index], sum, cardinality, label, &psi);
+    EmitBoundPair(psi.cc_var[compound_index], sum, cardinality, &psi);
   }
 
   // Nrel constraints.
@@ -113,10 +90,7 @@ PsiSystem BuildPsiSystem(const Expansion& expansion,
         }
       }
     }
-    std::string label =
-        StrCat(schema.RelationName(relation), "[", role_index, "] @ ",
-               expansion.compound_classes[compound_index].ToString(schema));
-    EmitBoundPair(psi.cc_var[compound_index], sum, cardinality, label, &psi);
+    EmitBoundPair(psi.cc_var[compound_index], sum, cardinality, &psi);
   }
 
   return psi;

@@ -4,7 +4,9 @@
 
 #include "analysis/clusters.h"
 #include "analysis/pair_tables.h"
+#include "base/exec_context.h"
 #include "model/builder.h"
+#include "workloads/generators.h"
 #include "test_schemas.h"
 
 namespace car {
@@ -187,6 +189,63 @@ TEST(ExpansionTest, CompoundClassCapEnforced) {
   auto expansion = BuildExpansion(*schema_or, options);
   ASSERT_FALSE(expansion.ok());
   EXPECT_EQ(expansion.status().code(), StatusCode::kResourceExhausted);
+}
+
+TEST(ExpansionTest, BoundedBuildMatchesFullBuildWithinTheBound) {
+  Schema schema = testing_schemas::Figure2();
+  for (int threads : {1, 8}) {
+    ExecContext full_exec;
+    ExecContext bounded_exec;
+    ExpansionOptions options;
+    options.num_threads = threads;
+    options.exec = &full_exec;
+    auto full = BuildExpansion(schema, options);
+    ASSERT_TRUE(full.ok()) << full.status();
+    const size_t compounds = full->compound_classes.size() - 1;
+    options.exec = &bounded_exec;
+    auto bounded = BuildExpansionWithinBound(schema, options, compounds);
+    ASSERT_TRUE(bounded.ok()) << bounded.status();
+    ASSERT_TRUE(bounded->has_value());
+    const Expansion& within = **bounded;
+    ASSERT_EQ(within.compound_classes.size(), full->compound_classes.size());
+    for (size_t i = 0; i < within.compound_classes.size(); ++i) {
+      EXPECT_EQ(within.compound_classes[i].members(),
+                full->compound_classes[i].members());
+    }
+    EXPECT_EQ(within.compound_attributes.size(),
+              full->compound_attributes.size());
+    EXPECT_EQ(within.natt, full->natt);
+    EXPECT_EQ(bounded_exec.work_charged(), full_exec.work_charged());
+
+    auto over = BuildExpansionWithinBound(schema, options, compounds - 1);
+    ASSERT_TRUE(over.ok()) << over.status();
+    EXPECT_FALSE(over->has_value());
+  }
+}
+
+TEST(ExpansionTest, ExceedingTheBoundIsNoTripButLimitsStillApply) {
+  DenseBlowupParams params;
+  params.chaff_classes = 6;
+  params.core_classes = 3;
+  Schema schema = GenerateDenseBlowupSchema(params);
+  ExecContext exec;
+  ExpansionOptions options;
+  options.exec = &exec;
+  auto bounded = BuildExpansionWithinBound(schema, options, 18);
+  ASSERT_TRUE(bounded.ok()) << bounded.status();
+  EXPECT_FALSE(bounded->has_value());
+  EXPECT_FALSE(exec.tripped());
+  EXPECT_GT(exec.work_charged(), 0u);
+  EXPECT_EQ(exec.progress().compounds_enumerated, 18u);
+
+  // A governor limit inside the bounded build is a real trip.
+  ExecContext tight;
+  tight.InjectTripAfter(3);
+  options.exec = &tight;
+  auto tripped = BuildExpansionWithinBound(schema, options, 18);
+  ASSERT_FALSE(tripped.ok());
+  EXPECT_EQ(tight.report().kind, LimitKind::kFaultInjection);
+  EXPECT_EQ(tight.report().phase, "expansion");
 }
 
 TEST(PairTablesTest, ExplicitEntriesFromIsa) {

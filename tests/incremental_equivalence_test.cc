@@ -7,7 +7,9 @@
 // completes with the exact reference answers or fails with the
 // governor's LimitReport; it never returns a wrong answer. Schema
 // mutation between batches must be detected by fingerprint and rebuild
-// the base state and memo.
+// the base state and memo. Lazy sessions are routed by expansion size:
+// hierarchy-shaped schemas build the solved base at once, blow-up schemas
+// keep the lazy engine, and the routing build is governed like any other.
 
 #include <gtest/gtest.h>
 
@@ -17,9 +19,11 @@
 
 #include "base/exec_context.h"
 #include "base/rng.h"
+#include "base/strings.h"
 #include "model/schema.h"
 #include "reasoner/incremental.h"
 #include "reasoner/reasoner.h"
+#include "test_schemas.h"
 #include "workloads/generators.h"
 
 namespace car {
@@ -286,6 +290,225 @@ TEST(IncrementalEquivalenceTest, MalformedQueriesErrorLikeFromScratch) {
   auto answers = session.RunImplicationBatch({bad});
   ASSERT_FALSE(answers.ok());
   EXPECT_EQ(expected.status().ToString(), answers.status().ToString());
+}
+
+ReasonerOptions LazyOptions(int threads) {
+  ReasonerOptions options;
+  options.num_threads = threads;
+  options.lazy_expansion = true;
+  return options;
+}
+
+/// Adjacent-class disjointness queries: answerable by the from-scratch
+/// reference on the dense-blowup family, whose chaff and core clusters
+/// they fuse only pairwise.
+std::vector<ImplicationQuery> AdjacentDisjointness(const Schema& schema) {
+  std::vector<ImplicationQuery> queries;
+  for (ClassId c = 0; c + 1 < schema.num_classes(); ++c) {
+    ImplicationQuery query;
+    query.kind = ImplicationQuery::Kind::kDisjoint;
+    query.class_id = c;
+    query.other = c + 1;
+    queries.push_back(query);
+  }
+  return queries;
+}
+
+Schema DenseBlowup(int chaff, int core) {
+  DenseBlowupParams params;
+  params.chaff_classes = chaff;
+  params.core_classes = core;
+  return GenerateDenseBlowupSchema(params);
+}
+
+TEST(IncrementalEquivalenceTest, LazySessionsBuildTheBaseOfHierarchyShapes) {
+  std::vector<std::pair<std::string, Schema>> schemas = TestSchemas();
+  schemas.emplace_back("figure2", testing_schemas::Figure2());
+  for (const auto& [label, schema] : schemas) {
+    Rng query_rng(606);
+    std::vector<ImplicationQuery> queries = MakeBatch(schema, &query_rng, 24);
+    Reasoner reference(&schema, ReasonerOptions{});
+    auto expected = reference.RunImplicationBatch(queries);
+    ASSERT_TRUE(expected.ok()) << label << ": " << expected.status();
+
+    for (int threads : kThreadCounts) {
+      IncrementalSession session(&schema, LazyOptions(threads));
+      auto answers = session.RunImplicationBatch(queries);
+      ASSERT_TRUE(answers.ok())
+          << label << " threads=" << threads << ": " << answers.status();
+      EXPECT_EQ(expected.value(), answers.value())
+          << label << " threads=" << threads;
+      IncrementalStats stats = session.stats();
+      EXPECT_EQ(stats.base_builds, 1u) << label << " threads=" << threads;
+      EXPECT_EQ(stats.lazy_hits, 0u) << label << " threads=" << threads;
+      EXPECT_EQ(stats.lazy_compounds_materialized, 0u)
+          << label << " threads=" << threads;
+      EXPECT_EQ(stats.fallbacks, 0u) << label << " threads=" << threads;
+      EXPECT_TRUE(session.SnapshotEligible())
+          << label << " threads=" << threads;
+    }
+  }
+}
+
+TEST(IncrementalEquivalenceTest, LazySessionsStayLazyWhereExpansionBlowsUp) {
+  // 2^6 chaff compounds + 3 core + the empty one over 9 classes: far past
+  // two compounds per class.
+  Schema schema = DenseBlowup(6, 3);
+  std::vector<ImplicationQuery> queries = AdjacentDisjointness(schema);
+  Reasoner reference(&schema, ReasonerOptions{});
+  auto expected = reference.RunImplicationBatch(queries);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+
+  for (int threads : kThreadCounts) {
+    IncrementalSession session(&schema, LazyOptions(threads));
+    auto answers = session.RunImplicationBatch(queries);
+    ASSERT_TRUE(answers.ok()) << "threads=" << threads << ": "
+                              << answers.status();
+    EXPECT_EQ(expected.value(), answers.value()) << "threads=" << threads;
+    IncrementalStats stats = session.stats();
+    EXPECT_EQ(stats.base_builds, 0u) << "threads=" << threads;
+    EXPECT_GT(stats.lazy_hits, 0u) << "threads=" << threads;
+  }
+}
+
+TEST(IncrementalEquivalenceTest, RestoredLazySessionKeepsItsRoute) {
+  Rng rng(7);
+  HierarchyParams params;
+  params.num_classes = 9;
+  params.num_trees = 2;
+  const Schema schema = GenerateHierarchy(&rng, params);
+  Rng query_rng(808);
+  std::vector<ImplicationQuery> queries = MakeBatch(schema, &query_rng, 16);
+  IncrementalSession built(&schema, LazyOptions(1));
+  auto expected = built.RunImplicationBatch(queries);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  auto bytes = built.Serialize();
+  ASSERT_TRUE(bytes.ok()) << bytes.status();
+
+  IncrementalSession restored(&schema, LazyOptions(1));
+  ASSERT_TRUE(restored.Deserialize(bytes.value()).ok());
+  // Fresh queries, so the restored memo cannot answer them.
+  Rng fresh_rng(909);
+  std::vector<ImplicationQuery> fresh = MakeBatch(schema, &fresh_rng, 16);
+  auto answers = restored.RunImplicationBatch(fresh);
+  ASSERT_TRUE(answers.ok()) << answers.status();
+  Reasoner reference(&schema, ReasonerOptions{});
+  auto reference_answers = reference.RunImplicationBatch(fresh);
+  ASSERT_TRUE(reference_answers.ok()) << reference_answers.status();
+  EXPECT_EQ(reference_answers.value(), answers.value());
+  IncrementalStats stats = restored.stats();
+  EXPECT_EQ(stats.base_restores, 1u);
+  EXPECT_EQ(stats.base_builds, 0u);
+  EXPECT_EQ(stats.lazy_hits, 0u);
+}
+
+TEST(IncrementalEquivalenceTest, RestoredDenseSessionStaysLazy) {
+  // A snapshot of a dense schema's full base (here written by an eager
+  // session) restores into a lazy session that must still probe lazily,
+  // as a cold open of the same schema would.
+  Schema schema = DenseBlowup(6, 3);
+  std::vector<ImplicationQuery> queries = AdjacentDisjointness(schema);
+  ReasonerOptions eager = LazyOptions(1);
+  eager.lazy_expansion = false;
+  IncrementalSession built(&schema, eager);
+  auto expected = built.RunImplicationBatch(queries);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  ASSERT_EQ(built.stats().base_builds, 1u);
+  auto bytes = built.Serialize();
+  ASSERT_TRUE(bytes.ok()) << bytes.status();
+
+  IncrementalSession restored(&schema, LazyOptions(1));
+  ASSERT_TRUE(restored.Deserialize(bytes.value()).ok());
+  // Pairs two apart, so the restored memo cannot answer them.
+  std::vector<ImplicationQuery> fresh;
+  for (ImplicationQuery query : queries) {
+    if (query.other + 1 >= schema.num_classes()) continue;
+    ++query.other;
+    fresh.push_back(query);
+  }
+  auto answers = restored.RunImplicationBatch(fresh);
+  ASSERT_TRUE(answers.ok()) << answers.status();
+  Reasoner reference(&schema, ReasonerOptions{});
+  auto reference_answers = reference.RunImplicationBatch(fresh);
+  ASSERT_TRUE(reference_answers.ok()) << reference_answers.status();
+  EXPECT_EQ(reference_answers.value(), answers.value());
+  IncrementalStats stats = restored.stats();
+  EXPECT_EQ(stats.base_restores, 1u);
+  EXPECT_EQ(stats.base_builds, 0u);
+  EXPECT_GT(stats.lazy_hits, 0u);
+}
+
+TEST(IncrementalEquivalenceTest, RoutingIsChargedButOverflowIsNoTrip) {
+  Schema schema = DenseBlowup(6, 3);
+  ExecContext exec;
+  ReasonerOptions options = LazyOptions(1);
+  options.exec = &exec;
+  IncrementalSession session(&schema, options);
+  // An empty batch runs only the routing: the bounded enumeration stops
+  // after two compounds per class, charged to the request's context.
+  auto routed = session.RunImplicationBatch({});
+  ASSERT_TRUE(routed.ok()) << routed.status();
+  EXPECT_FALSE(exec.tripped());
+  EXPECT_EQ(exec.report().kind, LimitKind::kNone);
+  EXPECT_GT(exec.work_charged(), 0u);
+  EXPECT_EQ(exec.progress().compounds_enumerated,
+            2u * static_cast<uint64_t>(schema.num_classes()));
+  EXPECT_EQ(session.stats().base_builds, 0u);
+
+  auto answers = session.RunImplicationBatch(AdjacentDisjointness(schema));
+  ASSERT_TRUE(answers.ok()) << answers.status();
+  EXPECT_FALSE(exec.tripped());
+  EXPECT_GT(session.stats().lazy_hits, 0u);
+}
+
+TEST(IncrementalEquivalenceTest, RoutedBaseBuildIsGovernedLikeEagerBuild) {
+  // A lazy session routed to the solved base must be indistinguishable
+  // from an eager session under the governor: same trips, same
+  // LimitReport, same work charged, at every thread count. Threshold 0
+  // trips inside the routing build itself.
+  const Schema schema = testing_schemas::Figure2();
+  Rng query_rng(707);
+  std::vector<ImplicationQuery> queries = MakeBatch(schema, &query_rng, 12);
+  bool saw_trip = false;
+  bool saw_completion = false;
+  for (uint64_t inject :
+       {0ull, 1ull, 3ull, 10ull, 30ull, 100ull, 1000ull, 100000ull}) {
+    for (int threads : kThreadCounts) {
+      ExecContext eager_exec;
+      ExecContext lazy_exec;
+      eager_exec.InjectTripAfter(inject);
+      lazy_exec.InjectTripAfter(inject);
+      ReasonerOptions eager_options;
+      eager_options.num_threads = threads;
+      eager_options.exec = &eager_exec;
+      ReasonerOptions lazy_options = LazyOptions(threads);
+      lazy_options.exec = &lazy_exec;
+      IncrementalSession eager(&schema, eager_options);
+      IncrementalSession lazy(&schema, lazy_options);
+      auto expected = eager.RunImplicationBatch(queries);
+      auto answers = lazy.RunImplicationBatch(queries);
+      const std::string where =
+          StrCat("inject=", inject, " threads=", threads);
+      ASSERT_EQ(expected.ok(), answers.ok()) << where;
+      EXPECT_EQ(eager_exec.report().ToString(), lazy_exec.report().ToString())
+          << where;
+      if (expected.ok()) {
+        saw_completion = true;
+        EXPECT_EQ(expected.value(), answers.value()) << where;
+        EXPECT_EQ(eager_exec.work_charged(), lazy_exec.work_charged())
+            << where;
+      } else {
+        saw_trip = true;
+        EXPECT_EQ(expected.status().ToString(), answers.status().ToString())
+            << where;
+        EXPECT_EQ(lazy_exec.report().kind, LimitKind::kFaultInjection)
+            << where;
+        EXPECT_EQ(lazy_exec.report().phase, "implication") << where;
+      }
+    }
+  }
+  EXPECT_TRUE(saw_trip);
+  EXPECT_TRUE(saw_completion);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -24,6 +25,9 @@
 #include "base/hashing.h"
 #include "base/rng.h"
 #include "frontend/printer.h"
+#include "math/bigint.h"
+#include "math/rational.h"
+#include "math/scalar.h"
 #include "model/schema.h"
 #include "persist/snapshot_format.h"
 #include "persist/snapshot_store.h"
@@ -178,6 +182,55 @@ TEST(SnapshotFormatTest, RoundTripIsByteExactAndCanonical) {
     EXPECT_EQ(header->format_version, persist::kSnapshotFormatVersion);
     EXPECT_EQ(header->abi_fingerprint, persist::SnapshotAbiFingerprint());
   }
+}
+
+TEST(SnapshotFormatTest, ScalarsRoundTripAcrossWordBoundaries) {
+  // Word-sized scalars take a direct limb path in both directions; it
+  // must write the bytes the BigInt path would and switch to that path
+  // exactly where a numerator or denominator leaves int64.
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  const BigInt two_pow_32 = BigInt(int64_t{1} << 32);
+  const BigInt two_pow_63 = BigInt(kMax) + BigInt(1);
+  const std::vector<Rational> values = {
+      Rational(BigInt(0), BigInt(1)),
+      Rational(BigInt(-1), BigInt(1)),
+      Rational(BigInt(0xFFFFFFFFll), BigInt(1)),
+      Rational(two_pow_32, BigInt(1)),
+      Rational(BigInt(-(int64_t{1} << 32)), two_pow_32 + BigInt(1)),
+      Rational(BigInt(kMax), BigInt(1)),
+      Rational(BigInt(kMin), BigInt(1)),
+      Rational(BigInt(kMin), BigInt(kMax)),
+      Rational(BigInt(-3), BigInt(kMax)),
+      // Just past int64: the BigInt path on both sides.
+      Rational(two_pow_63, BigInt(1)),
+      Rational(BigInt(1), two_pow_63),
+      Rational(BigInt(kMin) - BigInt(1), BigInt(kMax)),
+  };
+  const auto [name, schema] = TestSchemas().front();
+  Result<WarmSnapshot> base = DecodeSnapshot(WarmSnapshotBytes(schema, 1));
+  ASSERT_TRUE(base.ok()) << name << ": " << base.status();
+  ASSERT_FALSE(base->psi_snapshot.rhs.empty()) << name;
+  for (const Rational& value : values) {
+    WarmSnapshot snapshot = base.value();
+    snapshot.psi_snapshot.rhs.front() = Scalar(value);
+    const std::string bytes = EncodeSnapshot(snapshot);
+    Result<WarmSnapshot> decoded = DecodeSnapshot(bytes);
+    ASSERT_TRUE(decoded.ok()) << value.ToString() << ": " << decoded.status();
+    const Scalar& restored = decoded->psi_snapshot.rhs.front();
+    EXPECT_EQ(restored.ToRational(), value) << value.ToString();
+    EXPECT_EQ(restored.is_small(), Scalar(value).is_small())
+        << value.ToString();
+    EXPECT_EQ(EncodeSnapshot(decoded.value()), bytes) << value.ToString();
+  }
+
+  // A word-sized fraction not in lowest terms is non-canonical.
+  WarmSnapshot unreduced = base.value();
+  unreduced.psi_snapshot.rhs.front() = Scalar::FromReduced(2, 4);
+  Result<WarmSnapshot> rejected = DecodeSnapshot(EncodeSnapshot(unreduced));
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kParseError)
+      << rejected.status();
 }
 
 TEST(SnapshotFormatTest, SerializationIsThreadCountInvariant) {

@@ -318,10 +318,11 @@ TEST(ServeAdmission, FaultInjectionSweepDegradesDeterministically) {
   const std::vector<std::string> lines = MakeQueryLines(schema, 77, 8);
   const std::vector<uint8_t> expected = OfflineAnswers(schema, lines);
 
-  auto sweep = [&](int threads) {
+  auto sweep = [&](int threads, bool lazy_expansion) {
     std::vector<std::string> outcomes;
     ServerOptions options;
     options.num_threads = threads;
+    options.lazy_expansion = lazy_expansion;
     Server server(options);
     Response opened = Open(&server, "t", text);
     EXPECT_TRUE(std::holds_alternative<OpenedResponse>(opened));
@@ -357,7 +358,7 @@ TEST(ServeAdmission, FaultInjectionSweepDegradesDeterministically) {
     return outcomes;
   };
 
-  std::vector<std::string> serial = sweep(1);
+  std::vector<std::string> serial = sweep(1, /*lazy_expansion=*/true);
   // Small thresholds must degrade, large ones must answer; both kinds
   // occur in the sweep.
   EXPECT_EQ(serial.front().rfind("degraded", 0), 0u);
@@ -365,8 +366,11 @@ TEST(ServeAdmission, FaultInjectionSweepDegradesDeterministically) {
 
   // The whole outcome sequence (including the deterministic LimitReport
   // fields) is identical run to run and across thread counts.
-  EXPECT_EQ(sweep(1), serial);
-  EXPECT_EQ(sweep(2), serial);
+  EXPECT_EQ(sweep(1, true), serial);
+  EXPECT_EQ(sweep(2, true), serial);
+  // Under the lazy default Figure 2 routes to the solved base, so a trip
+  // in that build or after it degrades exactly as an eager server's does.
+  EXPECT_EQ(sweep(1, /*lazy_expansion=*/false), serial);
 
   // An unlimited request after a degraded one still answers correctly:
   // degradation never poisons the warm session.
@@ -605,11 +609,12 @@ ServeGeneration RunServeGeneration(const std::string& state_dir,
     close(err_child[1]);
     if (fault_env != nullptr) setenv("CAR_IO_FAULT_INJECT", fault_env, 1);
     std::string flag = StrCat("--state-dir=", state_dir);
-    // Eager sessions: a deferred lazy base is snapshot-ineligible by
-    // design (DESIGN §5i), and these tests exist to exercise the spill /
-    // restore / quarantine machinery, which needs a full base to spill.
-    execl(CAR_SERVE_BIN, "car_serve", "--threads=1", "--no-lazy-expansion",
-          flag.c_str(), static_cast<char*>(nullptr));
+    // The shipped default (lazy expansion): the tenants here are Figure 2,
+    // whose expansion routes the session to the solved base at once
+    // (DESIGN §5i), so it spills, restores and quarantines like an eager
+    // session.
+    execl(CAR_SERVE_BIN, "car_serve", "--threads=1", flag.c_str(),
+          static_cast<char*>(nullptr));
     _exit(127);
   }
   close(to_child[0]);
