@@ -50,7 +50,46 @@ bool ClusterTablesUnchanged(const std::vector<ClassId>& cluster,
   return true;
 }
 
+/// The list at `index`, or an empty one past the end (a schema may have
+/// attributes, relations or roles that no compound is constrained on).
+template <typename List>
+const List& ListAt(const std::vector<List>& lists, size_t index) {
+  static const List kEmpty;
+  return index < lists.size() ? lists[index] : kEmpty;
+}
+
 }  // namespace
+
+ConstrainedEndpoints CollectConstrainedEndpoints(
+    const std::map<std::pair<AttributeTerm, int>, Cardinality>& natt,
+    const std::map<std::tuple<RelationId, int, int>, Cardinality>& nrel) {
+  // Map order is (attribute term, compound) and (relation, role,
+  // compound), so each list is appended in ascending compound order.
+  ConstrainedEndpoints endpoints;
+  for (const auto& [key, cardinality] : natt) {
+    (void)cardinality;
+    const auto& [term, compound_index] = key;
+    std::vector<std::vector<int>>& lists =
+        term.inverse ? endpoints.attribute_to : endpoints.attribute_from;
+    const size_t attribute = static_cast<size_t>(term.attribute);
+    if (lists.size() <= attribute) lists.resize(attribute + 1);
+    lists[attribute].push_back(compound_index);
+  }
+  for (const auto& [key, cardinality] : nrel) {
+    (void)cardinality;
+    const auto& [relation, role, compound_index] = key;
+    auto& roles = endpoints.relation_role;
+    if (roles.size() <= static_cast<size_t>(relation)) {
+      roles.resize(static_cast<size_t>(relation) + 1);
+    }
+    auto& lists = roles[static_cast<size_t>(relation)];
+    if (lists.size() <= static_cast<size_t>(role)) {
+      lists.resize(static_cast<size_t>(role) + 1);
+    }
+    lists[static_cast<size_t>(role)].push_back(compound_index);
+  }
+  return endpoints;
+}
 
 Result<ExpansionBaseAnalysis> AnalyzeBaseExpansion(
     const Schema& schema, const Expansion& base,
@@ -59,7 +98,12 @@ Result<ExpansionBaseAnalysis> AnalyzeBaseExpansion(
     return FailedPrecondition(
         "incremental expansion deltas require the pruned strategy");
   }
-  ExpansionBaseAnalysis analysis{BuildTablesFor(schema, options), {}, {}, {}};
+  ExpansionBaseAnalysis analysis{BuildTablesFor(schema, options),
+                                 {},
+                                 {},
+                                 {},
+                                 CollectConstrainedEndpoints(base.natt,
+                                                             base.nrel)};
   analysis.partition = options.use_clusters
                            ? ComputeClusters(schema, analysis.tables)
                            : SingleCluster(schema);
@@ -170,13 +214,14 @@ Result<ExpansionDelta> ExtendExpansionWithAuxClass(
   }
   std::sort(new_compounds.begin(), new_compounds.end());
   delta.new_compound_classes = std::move(new_compounds);
-  CAR_RETURN_IF_ERROR(
-      PopulateDeltaExtensions(ext_schema, base, options, &delta));
+  CAR_RETURN_IF_ERROR(PopulateDeltaExtensions(
+      ext_schema, base, analysis.base_endpoints, options, &delta));
   CAR_RETURN_IF_ERROR(GovCheck(exec, "expansion"));
   return delta;
 }
 
 Status PopulateDeltaExtensions(const Schema& schema, const Expansion& base,
+                               const ConstrainedEndpoints& base_endpoints,
                                const ExpansionOptions& options,
                                ExpansionDelta* deltap) {
   ExecContext* exec = options.exec;
@@ -228,43 +273,38 @@ Status PopulateDeltaExtensions(const Schema& schema, const Expansion& base,
   // new-constrained endpoints against everything. Consistency is
   // intrinsic to (attribute, from, to), so base pairs keep their base
   // verdicts and need no re-filtering.
-  std::vector<std::set<int>> base_cf(ext_schema.num_attributes());
-  std::vector<std::set<int>> base_ct(ext_schema.num_attributes());
-  for (const auto& [key, cardinality] : base.natt) {
-    (void)cardinality;
-    const auto& [term, compound_index] = key;
-    (term.inverse ? base_ct : base_cf)[term.attribute].insert(compound_index);
-  }
-  std::vector<std::set<int>> new_cf(ext_schema.num_attributes());
-  std::vector<std::set<int>> new_ct(ext_schema.num_attributes());
-  for (const auto& [key, cardinality] : delta.new_natt) {
-    (void)cardinality;
-    const auto& [term, compound_index] = key;
-    (term.inverse ? new_ct : new_cf)[term.attribute].insert(compound_index);
-  }
+  const ConstrainedEndpoints new_endpoints =
+      CollectConstrainedEndpoints(delta.new_natt, delta.new_nrel);
   const size_t num_base_ca = base.compound_attributes.size();
+  std::vector<std::pair<int, int>> candidates;
   for (AttributeId a = 0; a < ext_schema.num_attributes(); ++a) {
-    std::set<std::pair<int, int>> candidates;
-    for (int from : base_cf[a]) {
+    const size_t attribute = static_cast<size_t>(a);
+    // Filtered in sorted (from, to) order without duplicates, so the new
+    // compound attributes get deterministic indices.
+    candidates.clear();
+    for (int from : ListAt(base_endpoints.attribute_from, attribute)) {
       for (int to = num_base_cc; to < num_total_cc; ++to) {
-        candidates.emplace(from, to);
+        candidates.emplace_back(from, to);
       }
     }
-    for (int from : new_cf[a]) {
+    for (int from : ListAt(new_endpoints.attribute_from, attribute)) {
       for (int to = 0; to < num_total_cc; ++to) {
-        candidates.emplace(from, to);
+        candidates.emplace_back(from, to);
       }
     }
-    for (int to : base_ct[a]) {
+    for (int to : ListAt(base_endpoints.attribute_to, attribute)) {
       for (int from = num_base_cc; from < num_total_cc; ++from) {
-        candidates.emplace(from, to);
+        candidates.emplace_back(from, to);
       }
     }
-    for (int to : new_ct[a]) {
+    for (int to : ListAt(new_endpoints.attribute_to, attribute)) {
       for (int from = 0; from < num_total_cc; ++from) {
-        candidates.emplace(from, to);
+        candidates.emplace_back(from, to);
       }
     }
+    std::sort(candidates.begin(), candidates.end());
+    candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                     candidates.end());
     for (const auto& [from, to] : candidates) {
       CAR_RETURN_IF_ERROR(GovChargeWork(exec, 1, "expansion-filter"));
       if (!IsConsistentCompoundAttribute(ext_schema, a, compound_at(from),
@@ -299,22 +339,11 @@ Status PopulateDeltaExtensions(const Schema& schema, const Expansion& base,
     if (definition == nullptr) continue;
     const int arity = definition->arity();
 
-    std::vector<std::set<int>> constrained_base(arity);
-    std::vector<std::set<int>> constrained_new(arity);
-    bool any_constraint = false;
-    for (const auto& [key, cardinality] : base.nrel) {
-      (void)cardinality;
-      if (std::get<0>(key) != r) continue;
-      constrained_base[std::get<1>(key)].insert(std::get<2>(key));
-      any_constraint = true;
-    }
-    for (const auto& [key, cardinality] : delta.new_nrel) {
-      (void)cardinality;
-      if (std::get<0>(key) != r) continue;
-      constrained_new[std::get<1>(key)].insert(std::get<2>(key));
-      any_constraint = true;
-    }
-    if (!any_constraint) continue;
+    const std::vector<std::vector<int>>& constrained_base =
+        ListAt(base_endpoints.relation_role, static_cast<size_t>(r));
+    const std::vector<std::vector<int>>& constrained_new =
+        ListAt(new_endpoints.relation_role, static_cast<size_t>(r));
+    if (constrained_base.empty() && constrained_new.empty()) continue;
 
     // Single-literal role-clause prefilter, split base/new. Realizing a
     // formula is intrinsic to the compound, so the base half coincides
@@ -402,13 +431,15 @@ Status PopulateDeltaExtensions(const Schema& schema, const Expansion& base,
         };
 
     for (int anchor = 0; anchor < arity && status.ok(); ++anchor) {
-      for (int anchored : constrained_new[anchor]) {
+      for (int anchored :
+           ListAt(constrained_new, static_cast<size_t>(anchor))) {
         std::vector<int> components(arity, -1);
         components[anchor] = anchored;
         fill(0, -1, &components);
         if (!status.ok()) break;
       }
-      for (int anchored : constrained_base[anchor]) {
+      for (int anchored :
+           ListAt(constrained_base, static_cast<size_t>(anchor))) {
         for (int min_new = 0; min_new < arity && status.ok(); ++min_new) {
           if (min_new == anchor) continue;
           std::vector<int> components(arity, -1);

@@ -14,6 +14,23 @@
 
 namespace car {
 
+/// The constrained compound classes of an expansion (or delta): per
+/// attribute, the compounds with a Natt entry on the attribute (`from`)
+/// or on its inverse (`to`); per relation and role, the compounds with an
+/// Nrel entry there. Lists are ascending and duplicate-free. Candidate
+/// compound attributes and relations are anchored at these endpoints.
+struct ConstrainedEndpoints {
+  std::vector<std::vector<int>> attribute_from;  // By AttributeId.
+  std::vector<std::vector<int>> attribute_to;
+  std::vector<std::vector<std::vector<int>>> relation_role;  // [r][role]
+};
+
+/// Collects the endpoint lists of `natt`/`nrel` (an Expansion's maps or
+/// an ExpansionDelta's new_natt/new_nrel).
+ConstrainedEndpoints CollectConstrainedEndpoints(
+    const std::map<std::pair<AttributeTerm, int>, Cardinality>& natt,
+    const std::map<std::tuple<RelationId, int, int>, Cardinality>& nrel);
+
 /// Precomputed analysis of a frozen base expansion that incremental
 /// probes extend: the preselection tables and cluster partition the base
 /// enumeration used, plus each base compound class grouped under its
@@ -27,6 +44,9 @@ struct ExpansionBaseAnalysis {
   std::vector<std::vector<int>> cluster_compounds;
   /// Base cluster index by (sorted) class list, for reuse lookups.
   std::map<std::vector<ClassId>, int> cluster_by_classes;
+  /// The base's constrained endpoints, which every probe's
+  /// PopulateDeltaExtensions pairs with the new compounds.
+  ConstrainedEndpoints base_endpoints;
 };
 
 /// The incremental extension of a base expansion for one probe schema
@@ -103,8 +123,11 @@ Result<ExpansionDelta> ExtendExpansionWithAuxClass(
 /// materialize compound classes first and derive the rest here.
 /// Governor observation matches ExtendExpansionWithAuxClass: one
 /// "expansion-filter" / "expansion-relations" work unit per candidate,
-/// cap trips recorded with the same LimitKinds.
+/// cap trips recorded with the same LimitKinds. `base_endpoints` must be
+/// CollectConstrainedEndpoints(base.natt, base.nrel); callers that extend
+/// one base many times collect it once.
 Status PopulateDeltaExtensions(const Schema& schema, const Expansion& base,
+                               const ConstrainedEndpoints& base_endpoints,
                                const ExpansionOptions& options,
                                ExpansionDelta* delta);
 

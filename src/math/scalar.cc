@@ -69,10 +69,12 @@ bool Scalar::AddSmall(int64_t c, int64_t d) {
   // g1 = gcd(b, d), the parts b/g1 and d/g1 are coprime to the sum
   // t = a*(d/g1) + c*(b/g1), so the final reduction only needs
   // gcd(t, g1).
+  // A gcd of 1 (coprime denominators, or an already reduced sum) skips
+  // its divisions.
   const int64_t g1 = static_cast<int64_t>(
       Gcd64(static_cast<uint64_t>(den_), static_cast<uint64_t>(d)));
-  const int64_t d1 = d / g1;
-  const int64_t b1 = den_ / g1;
+  const int64_t d1 = g1 == 1 ? d : d / g1;
+  const int64_t b1 = g1 == 1 ? den_ : den_ / g1;
   int64_t lhs, rhs, t, new_den;
   if (__builtin_mul_overflow(num_, d1, &lhs)) return false;
   if (__builtin_mul_overflow(c, b1, &rhs)) return false;
@@ -84,9 +86,11 @@ bool Scalar::AddSmall(int64_t c, int64_t d) {
   }
   if (__builtin_mul_overflow(den_, d1, &new_den)) return false;
   const int64_t g2 =
-      static_cast<int64_t>(Gcd64(Magnitude(t), static_cast<uint64_t>(g1)));
-  num_ = t / g2;
-  den_ = new_den / g2;
+      g1 == 1 ? 1
+              : static_cast<int64_t>(
+                    Gcd64(Magnitude(t), static_cast<uint64_t>(g1)));
+  num_ = g2 == 1 ? t : t / g2;
+  den_ = g2 == 1 ? new_den : new_den / g2;
   return true;
 }
 
@@ -99,11 +103,14 @@ bool Scalar::MulSmall(const Scalar& other) {
   const uint64_t g2 =
       Gcd64(Magnitude(other.num_), static_cast<uint64_t>(den_));
   // Denominators are strictly positive, so g1 and g2 are nonzero and
-  // (dividing an int64) fit in int64 themselves.
-  const int64_t a = num_ / static_cast<int64_t>(g1);
-  const int64_t c = other.num_ / static_cast<int64_t>(g2);
-  const int64_t b = den_ / static_cast<int64_t>(g2);
-  const int64_t d = other.den_ / static_cast<int64_t>(g1);
+  // (dividing an int64) fit in int64 themselves. A gcd of 1 skips its
+  // divisions.
+  const int64_t a = g1 == 1 ? num_ : num_ / static_cast<int64_t>(g1);
+  const int64_t c =
+      g2 == 1 ? other.num_ : other.num_ / static_cast<int64_t>(g2);
+  const int64_t b = g2 == 1 ? den_ : den_ / static_cast<int64_t>(g2);
+  const int64_t d =
+      g1 == 1 ? other.den_ : other.den_ / static_cast<int64_t>(g1);
   int64_t new_num, new_den;
   if (__builtin_mul_overflow(a, c, &new_num)) return false;
   if (__builtin_mul_overflow(b, d, &new_den)) return false;

@@ -113,26 +113,52 @@ class Scalar {
 
   Scalar operator-() const;
 
+  // Integer operands (den == 1 on both sides; Ψ's coefficients are all
+  // integers) take one checked int64 operation and no gcd; the result is
+  // an integer, so it is already in lowest terms. On overflow *this is
+  // left untouched for the slow path.
   Scalar& operator+=(const Scalar& other) {
-    if (big_ == nullptr && other.big_ == nullptr &&
-        AddSmall(other.num_, other.den_)) {
-      return *this;
+    if (big_ == nullptr && other.big_ == nullptr) {
+      if (den_ == 1 && other.den_ == 1) {
+        int64_t sum;
+        if (!__builtin_add_overflow(num_, other.num_, &sum)) {
+          num_ = sum;
+          return *this;
+        }
+      } else if (AddSmall(other.num_, other.den_)) {
+        return *this;
+      }
     }
     AddSlow(other);
     return *this;
   }
   Scalar& operator-=(const Scalar& other) {
-    // -INT64_MIN overflows; route that single case through the slow path.
-    if (big_ == nullptr && other.big_ == nullptr &&
-        other.num_ != INT64_MIN && AddSmall(-other.num_, other.den_)) {
-      return *this;
+    if (big_ == nullptr && other.big_ == nullptr) {
+      if (den_ == 1 && other.den_ == 1) {
+        int64_t difference;
+        if (!__builtin_sub_overflow(num_, other.num_, &difference)) {
+          num_ = difference;
+          return *this;
+        }
+      } else if (other.num_ != INT64_MIN &&  // -INT64_MIN overflows.
+                 AddSmall(-other.num_, other.den_)) {
+        return *this;
+      }
     }
     SubSlow(other);
     return *this;
   }
   Scalar& operator*=(const Scalar& other) {
-    if (big_ == nullptr && other.big_ == nullptr && MulSmall(other)) {
-      return *this;
+    if (big_ == nullptr && other.big_ == nullptr) {
+      if (den_ == 1 && other.den_ == 1) {
+        int64_t product;
+        if (!__builtin_mul_overflow(num_, other.num_, &product)) {
+          num_ = product;
+          return *this;
+        }
+      } else if (MulSmall(other)) {
+        return *this;
+      }
     }
     MulSlow(other);
     return *this;

@@ -31,6 +31,33 @@ inline Rational CellToRational(const Scalar& value) {
   return value.ToRational();
 }
 
+/// Whether a constraint enters the tableau negated. A negative
+/// right-hand side is negated so the rhs column stays nonnegative. A
+/// homogeneous `a·x >= 0` row is negated to `-a·x <= 0`, so its slack is
+/// basic at zero and the row needs no artificial column: Ψ_S is
+/// homogeneous apart from the support gadget's `t <= 1`, so its
+/// all-slack basis is feasible and a Ψ solve skips phase 1.
+bool EntersNegated(const LinearConstraint& constraint) {
+  return constraint.rhs.is_negative() ||
+         (constraint.rhs.is_zero() &&
+          constraint.relation == Relation::kGreaterEqual);
+}
+
+/// The relation a constraint has in the tableau: its own, mirrored when
+/// it enters negated.
+Relation TableauRelation(const LinearConstraint& constraint) {
+  if (!EntersNegated(constraint)) return constraint.relation;
+  switch (constraint.relation) {
+    case Relation::kLessEqual:
+      return Relation::kGreaterEqual;
+    case Relation::kGreaterEqual:
+      return Relation::kLessEqual;
+    case Relation::kEqual:
+      break;
+  }
+  return Relation::kEqual;
+}
+
 // ===========================================================================
 // Sparse production kernel: compressed sparse rows of Scalar cells.
 // ===========================================================================
@@ -206,7 +233,10 @@ Scalar ObjectiveValue(const SparseTableau& tableau,
 /// non-artificial tableau column and ν'ᵀb' > 0; mapping tableau rows back
 /// through their creation sign flip yields multipliers on the ORIGINAL
 /// constraints, ν_i = flipped[i] ? -S_i : S_i, satisfying the
-/// InfeasibilityCertificate contract. Callers re-validate regardless.
+/// InfeasibilityCertificate contract. A zero-rhs >= row that entered
+/// negated has its slack as init_basic, which is non-artificial, so
+/// S_i <= 0 and ν_i = -S_i >= 0, the sign a >= row needs. Callers
+/// re-validate regardless.
 InfeasibilityCertificate ExtractFarkasCertificate(
     const SparseTableau& tableau) {
   const size_t num_rows = tableau.rows.size();
@@ -234,10 +264,13 @@ InfeasibilityCertificate ExtractFarkasCertificate(
   return certificate;
 }
 
-/// Builds the phase-1 tableau from the system: slack variables for <=,
-/// surplus+artificial for >=, artificial for =; right-hand sides are made
-/// nonnegative first. Rows are assembled directly in sparse form from the
-/// (already sparse) LinearExpr term maps — the system is never densified.
+/// Builds the phase-1 tableau from the system: rows that enter negated
+/// (EntersNegated) are negated first, then <= rows get a basic slack, >=
+/// rows a surplus plus a basic artificial, = rows a basic artificial.
+/// Artificials are therefore left only on rows with a positive
+/// right-hand side and on equalities. Rows are assembled directly in
+/// sparse form from the (already sparse) LinearExpr term maps — the
+/// system is never densified.
 SparseTableau BuildTableau(const LinearSystem& system) {
   const int n = system.num_variables();
   const auto& constraints = system.constraints();
@@ -246,14 +279,7 @@ SparseTableau BuildTableau(const LinearSystem& system) {
   int num_slack = 0;
   int num_artificial = 0;
   for (const LinearConstraint& constraint : constraints) {
-    bool flip = constraint.rhs.is_negative();
-    Relation relation = constraint.relation;
-    if (flip && relation == Relation::kLessEqual) {
-      relation = Relation::kGreaterEqual;
-    } else if (flip && relation == Relation::kGreaterEqual) {
-      relation = Relation::kLessEqual;
-    }
-    switch (relation) {
+    switch (TableauRelation(constraint)) {
       case Relation::kLessEqual:
         ++num_slack;
         break;
@@ -279,9 +305,7 @@ SparseTableau BuildTableau(const LinearSystem& system) {
   for (const LinearConstraint& constraint : constraints) {
     SparseRow row;
     row.reserve(constraint.expr.terms().size() + 2);
-    Rational rhs = constraint.rhs;
-    Relation relation = constraint.relation;
-    bool flip = rhs.is_negative();
+    const bool flip = EntersNegated(constraint);
     // LinearExpr terms are sorted by variable and nonzero, and every
     // structural index is below the auxiliary columns, so the row can be
     // appended in order without any sorting pass.
@@ -290,16 +314,8 @@ SparseTableau BuildTableau(const LinearSystem& system) {
       CAR_CHECK_LT(variable, n);
       row.Append(variable, Scalar(flip ? -coefficient : coefficient));
     }
-    if (flip) {
-      rhs = -rhs;
-      if (relation == Relation::kLessEqual) {
-        relation = Relation::kGreaterEqual;
-      } else if (relation == Relation::kGreaterEqual) {
-        relation = Relation::kLessEqual;
-      }
-    }
     int basic = -1;
-    switch (relation) {
+    switch (TableauRelation(constraint)) {
       case Relation::kLessEqual:
         row.Append(next_slack, Scalar(1));
         basic = next_slack++;
@@ -316,7 +332,7 @@ SparseTableau BuildTableau(const LinearSystem& system) {
         break;
     }
     tableau.rows.push_back(std::move(row));
-    tableau.rhs.push_back(Scalar(rhs));
+    tableau.rhs.push_back(Scalar(flip ? -constraint.rhs : constraint.rhs));
     tableau.basis.push_back(basic);
     tableau.init_basic.push_back(basic);
     tableau.flipped.push_back(flip);
@@ -553,14 +569,7 @@ DenseTableau<Cell> BuildDenseTableau(const LinearSystem& system) {
   int num_slack = 0;
   int num_artificial = 0;
   for (const LinearConstraint& constraint : constraints) {
-    bool flip = constraint.rhs.is_negative();
-    Relation relation = constraint.relation;
-    if (flip && relation == Relation::kLessEqual) {
-      relation = Relation::kGreaterEqual;
-    } else if (flip && relation == Relation::kGreaterEqual) {
-      relation = Relation::kLessEqual;
-    }
-    switch (relation) {
+    switch (TableauRelation(constraint)) {
       case Relation::kLessEqual:
         ++num_slack;
         break;
@@ -585,25 +594,15 @@ DenseTableau<Cell> BuildDenseTableau(const LinearSystem& system) {
   int next_artificial = n + num_slack;
   for (const LinearConstraint& constraint : constraints) {
     std::vector<Cell> row(tableau.num_cols);
-    Rational rhs = constraint.rhs;
-    Relation relation = constraint.relation;
-    bool flip = rhs.is_negative();
+    const bool flip = EntersNegated(constraint);
     for (const auto& [variable, coefficient] : constraint.expr.terms()) {
       CAR_CHECK_GE(variable, 0);
       CAR_CHECK_LT(variable, n);
       row[variable] =
           CellFromRational<Cell>(flip ? -coefficient : coefficient);
     }
-    if (flip) {
-      rhs = -rhs;
-      if (relation == Relation::kLessEqual) {
-        relation = Relation::kGreaterEqual;
-      } else if (relation == Relation::kGreaterEqual) {
-        relation = Relation::kLessEqual;
-      }
-    }
     int basic = -1;
-    switch (relation) {
+    switch (TableauRelation(constraint)) {
       case Relation::kLessEqual:
         row[next_slack] = Cell(1);
         basic = next_slack++;
@@ -620,7 +619,8 @@ DenseTableau<Cell> BuildDenseTableau(const LinearSystem& system) {
         break;
     }
     tableau.rows.push_back(std::move(row));
-    tableau.rhs.push_back(CellFromRational<Cell>(rhs));
+    tableau.rhs.push_back(
+        CellFromRational<Cell>(flip ? -constraint.rhs : constraint.rhs));
     tableau.basis.push_back(basic);
   }
   return tableau;
@@ -1019,7 +1019,9 @@ Result<LpResult> SimplexSolver::ResumeMaximize(
   // the current basic variables, sign normalization, then a basic column
   // (the slack if it survived with +1, else a fresh artificial). The row
   // is accumulated densely in `accumulator` (the scratch dense pivot-row
-  // buffer of the sparse design) and compressed once at the end.
+  // buffer of the sparse design) and compressed once at the end. The
+  // fresh slack/surplus column is zero in every existing row, so the
+  // elimination leaves its ±1 untouched.
   bool added_artificial = false;
   std::vector<Scalar> accumulator;
   for (const LinearConstraint& constraint : delta.new_constraints) {
@@ -1051,7 +1053,12 @@ Result<LpResult> SimplexSolver::ResumeMaximize(
       }
       rhs -= factor * tableau.rhs[i];
     }
-    bool negate = rhs.is_negative();
+    // As in BuildTableau: a negative right-hand side is negated, and so
+    // is a row whose rhs eliminated to zero with its surplus at -1 — it
+    // then enters on its slack instead of a fresh artificial.
+    const bool negate =
+        rhs.is_negative() ||
+        (rhs.is_zero() && aux >= 0 && accumulator[aux] == Scalar(-1));
     if (negate) {
       for (Scalar& cell : accumulator) {
         if (!cell.is_zero()) cell = -cell;

@@ -121,8 +121,9 @@ struct SimplexSnapshot {
   /// insertion (its current contents are B^-1 e_row, the key to pricing
   /// out appended columns).
   std::vector<int> init_basic;
-  /// Per row: whether the row was negated when incorporated (its
-  /// right-hand side was negative), so appended terms must negate too.
+  /// Per row: whether the row was negated when incorporated — for a
+  /// negative right-hand side, or for a zero-rhs `>=` row, which enters
+  /// as `<=` on its slack — so appended terms must negate too.
   std::vector<bool> row_flipped;
   /// Structural variable -> column and back (-1 for auxiliary columns).
   std::vector<int> col_of_var;

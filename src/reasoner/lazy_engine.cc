@@ -246,6 +246,8 @@ Result<LazyOutcome> RunLazyExpansion(
       Expansion seed,
       AssembleExpansion(schema, ledger.Compounds(), expansion_options));
   const size_t num_seed_cc = seed.compound_classes.size();
+  const ConstrainedEndpoints seed_endpoints =
+      CollectConstrainedEndpoints(seed.natt, seed.nrel);
   std::set<std::vector<ClassId>> seed_members;
   for (const CompoundClass& compound : seed.compound_classes) {
     seed_members.insert(compound.members());
@@ -282,8 +284,8 @@ Result<LazyOutcome> RunLazyExpansion(
       }
     }
     if (delta.HasNewCompounds()) {
-      CAR_RETURN_IF_ERROR(
-          PopulateDeltaExtensions(schema, seed, expansion_options, &delta));
+      CAR_RETURN_IF_ERROR(PopulateDeltaExtensions(
+          schema, seed, seed_endpoints, expansion_options, &delta));
     }
 
     std::vector<const CompoundClass*> global_cc;

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "base/check.h"
-#include "base/strings.h"
 
 namespace car {
 
@@ -49,7 +48,6 @@ UnsatProbe BuildUnsatProbe(const Expansion& partial, ClassId target) {
   }
   row.relation = Relation::kGreaterEqual;
   row.rhs = Rational(1);
-  row.label = StrCat("unsat-probe @ ", partial.schema->ClassName(target));
   probe.probe_row = probe.psi.system.constraints().size();
   probe.psi.system.AddConstraint(std::move(row));
   return probe;
@@ -388,7 +386,6 @@ Result<PartialPsiResult> SolvePsiOverDelta(const Expansion& base,
       pin.expr.Add(variable, Rational(1));
       pin.relation = Relation::kLessEqual;
       pin.rhs = Rational(0);
-      pin.label = "pin";
       round_delta.new_constraints.push_back(std::move(pin));
     }
   }

@@ -138,6 +138,89 @@ TEST(ScalarTest, GcdEdgeCases) {
   ExpectMatches(product, Rational(1));
 }
 
+TEST(ScalarTest, IntegerFastPathBoundaries) {
+  const Rational max_oracle(INT64_MAX);
+  const Rational min_oracle(INT64_MIN);
+  // In place: an overflowing integer op must leave the operand intact for
+  // the slow path, so the result is exact (INT64_MAX+1, INT64_MIN-1,
+  // INT64_MIN*-1 = 2^63).
+  Scalar value(INT64_MAX);
+  value += Scalar(1);
+  ExpectMatches(value, max_oracle + Rational(1));
+  value = Scalar(INT64_MIN);
+  value -= Scalar(1);
+  ExpectMatches(value, min_oracle - Rational(1));
+  value = Scalar(INT64_MIN);
+  value *= Scalar(-1);
+  ExpectMatches(value, min_oracle * Rational(-1));
+  value = Scalar(INT64_MAX);
+  value += value;  // Self-aliasing overflow.
+  ExpectMatches(value, max_oracle + max_oracle);
+  // Results exactly at the boundary stay small.
+  ExpectMatches(Scalar(INT64_MIN) - Scalar(INT64_MIN), Rational(0));
+  ExpectMatches(Scalar(-1) - Scalar(INT64_MIN), max_oracle);
+  ExpectMatches(Scalar(INT64_MAX - 1) + Scalar(1), max_oracle);
+  ExpectMatches(Scalar(INT64_MIN + 1) - Scalar(1), min_oracle);
+  ExpectMatches(Scalar(-(int64_t{1} << 32)) * Scalar(int64_t{1} << 31),
+                min_oracle);
+  ExpectMatches(Scalar(int64_t{1} << 32) * Scalar(int64_t{1} << 31),
+                Rational(int64_t{1} << 32) * Rational(int64_t{1} << 31));
+  ExpectMatches(Scalar(INT64_MAX) * Scalar(0), Rational(0));
+  // An integer mixed with a fraction takes the general path, in either
+  // operand order, and products that cancel the denominator come back as
+  // integers.
+  const Scalar three_quarters = Scalar(3) / Scalar(4);
+  const Rational three_quarters_oracle = Rational(3) / Rational(4);
+  ExpectMatches(Scalar(5) + three_quarters,
+                Rational(5) + three_quarters_oracle);
+  ExpectMatches(three_quarters - Scalar(5),
+                three_quarters_oracle - Rational(5));
+  ExpectMatches(Scalar(4) * three_quarters, Rational(3));
+  ExpectMatches(three_quarters * Scalar(-8), Rational(-6));
+  ExpectMatches(Scalar(INT64_MAX) + three_quarters,
+                max_oracle + three_quarters_oracle);
+  ExpectMatches(Scalar(INT64_MIN) - three_quarters,
+                min_oracle - three_quarters_oracle);
+}
+
+TEST(ScalarTest, IntegerHeavyDifferentialVsRationalOracle) {
+  // Mostly integer operands of every width up to 63 bits, with one in
+  // four a fraction: exercises the integer fast paths at the overflow
+  // boundary and their hand-off to the fraction and big paths.
+  Rng rng(0x1e6e'2026'10'18ull);
+  for (int iteration = 0; iteration < 20000; ++iteration) {
+    Rational operands[2];
+    for (Rational& operand : operands) {
+      const int bits = rng.NextInt(0, 63);
+      int64_t num = static_cast<int64_t>(
+          rng.Next() & (bits == 63 ? ~uint64_t{0} >> 1
+                                   : (uint64_t{1} << bits) - 1));
+      if (rng.NextChance(1, 2)) num = -num - (bits == 63 ? 1 : 0);
+      const int64_t den = rng.NextChance(1, 4) ? rng.NextInt(2, 9) : 1;
+      operand = Rational(BigInt(num), BigInt(den));
+    }
+    Scalar lhs(operands[0]);
+    const Scalar rhs(operands[1]);
+    switch (rng.NextInt(0, 2)) {
+      case 0:
+        lhs += rhs;
+        ASSERT_NO_FATAL_FAILURE(ExpectMatches(lhs, operands[0] + operands[1]))
+            << "iteration " << iteration;
+        break;
+      case 1:
+        lhs -= rhs;
+        ASSERT_NO_FATAL_FAILURE(ExpectMatches(lhs, operands[0] - operands[1]))
+            << "iteration " << iteration;
+        break;
+      case 2:
+        lhs *= rhs;
+        ASSERT_NO_FATAL_FAILURE(ExpectMatches(lhs, operands[0] * operands[1]))
+            << "iteration " << iteration;
+        break;
+    }
+  }
+}
+
 /// One random operand as a matched (Scalar, Rational) pair. Numerator
 /// and denominator bit widths are sampled uniformly, so products and
 /// cross-multiplications straddle the int64 overflow boundary; about one

@@ -532,6 +532,44 @@ TEST(SimplexProperty, FeasibilityWitnessAlwaysValid) {
   EXPECT_GT(infeasible_count, 20);
 }
 
+/// Solves `system` under all three kernels — Maximize(`*objective`), or
+/// CheckFeasible when `objective` is null — and expects the dense
+/// reference kernels to match the sparse production kernel bit for bit:
+/// outcome, objective, vertex, pivot count and final nonzero pattern.
+/// Returns the sparse result.
+LpResult ExpectKernelsAgree(const LinearSystem& system,
+                            const LinearExpr* objective) {
+  auto solve = [&](SimplexKernel kernel) {
+    SimplexSolver::Options options;
+    options.kernel = kernel;
+    SimplexSolver solver(options);
+    return objective == nullptr ? solver.CheckFeasible(system)
+                                : solver.Maximize(system, *objective);
+  };
+  Result<LpResult> sparse = solve(SimplexKernel::kSparseScalar);
+  EXPECT_TRUE(sparse.ok());
+  if (!sparse.ok()) return LpResult();
+  for (SimplexKernel kernel :
+       {SimplexKernel::kDenseRational, SimplexKernel::kDenseScalar}) {
+    Result<LpResult> dense = solve(kernel);
+    EXPECT_TRUE(dense.ok());
+    if (!dense.ok()) continue;
+    EXPECT_EQ(dense->outcome, sparse->outcome)
+        << SimplexKernelToString(kernel) << "\n" << system.ToString();
+    EXPECT_EQ(dense->objective, sparse->objective)
+        << SimplexKernelToString(kernel) << "\n" << system.ToString();
+    EXPECT_EQ(dense->values, sparse->values)
+        << SimplexKernelToString(kernel) << "\n" << system.ToString();
+    EXPECT_EQ(dense->pivots, sparse->pivots)
+        << SimplexKernelToString(kernel) << "\n" << system.ToString();
+    // Zero-skipping is representation-level only: the final tableaus
+    // hold the same nonzero pattern.
+    EXPECT_EQ(dense->tableau_nonzeros, sparse->tableau_nonzeros)
+        << SimplexKernelToString(kernel) << "\n" << system.ToString();
+  }
+  return *sparse;
+}
+
 /// Property: the three tableau kernels (sparse-scalar production,
 /// dense-rational reference, dense-scalar reference) are bit-identical on
 /// random maximization problems — same outcome, same objective, same
@@ -560,29 +598,7 @@ TEST(SimplexProperty, KernelsAreBitIdentical) {
       if (coefficient != 0) objective.Add(j, Rational(coefficient));
     }
 
-    SimplexSolver::Options sparse_options;
-    sparse_options.kernel = SimplexKernel::kSparseScalar;
-    auto sparse = SimplexSolver(sparse_options).Maximize(system, objective);
-    ASSERT_TRUE(sparse.ok());
-    for (SimplexKernel kernel :
-         {SimplexKernel::kDenseRational, SimplexKernel::kDenseScalar}) {
-      SimplexSolver::Options options;
-      options.kernel = kernel;
-      auto dense = SimplexSolver(options).Maximize(system, objective);
-      ASSERT_TRUE(dense.ok());
-      EXPECT_EQ(dense->outcome, sparse->outcome)
-          << SimplexKernelToString(kernel) << "\n" << system.ToString();
-      EXPECT_EQ(dense->objective, sparse->objective)
-          << SimplexKernelToString(kernel) << "\n" << system.ToString();
-      EXPECT_EQ(dense->values, sparse->values)
-          << SimplexKernelToString(kernel) << "\n" << system.ToString();
-      EXPECT_EQ(dense->pivots, sparse->pivots)
-          << SimplexKernelToString(kernel) << "\n" << system.ToString();
-      // Zero-skipping is representation-level only: the final tableaus
-      // hold the same nonzero pattern.
-      EXPECT_EQ(dense->tableau_nonzeros, sparse->tableau_nonzeros)
-          << SimplexKernelToString(kernel) << "\n" << system.ToString();
-    }
+    ASSERT_NO_FATAL_FAILURE(ExpectKernelsAgree(system, &objective));
     // The dense-rational kernel never touches Scalar cells.
     SimplexSolver::Options rational_options;
     rational_options.kernel = SimplexKernel::kDenseRational;
@@ -591,6 +607,261 @@ TEST(SimplexProperty, KernelsAreBitIdentical) {
     ASSERT_TRUE(rational.ok());
     EXPECT_EQ(rational->scalar_promotions, 0u);
   }
+}
+
+/// A Ψ-shaped system (paper §3.2): two compound classes c1, c2 linked by
+/// a compound attribute a with Natt bounds 1..2 at c1 and 1..3 at c2, and
+/// the support gadgets t_i <= c_i, t_i <= 1. Every row but `t_i <= 1` is
+/// homogeneous. Objective: Σ t_i.
+struct PsiShaped {
+  LinearSystem system;
+  LinearExpr objective;
+  int c1 = 0, c2 = 0, a = 0;
+};
+
+PsiShaped MakePsiShaped() {
+  PsiShaped psi;
+  psi.c1 = psi.system.AddVariable("c1");
+  psi.c2 = psi.system.AddVariable("c2");
+  psi.a = psi.system.AddVariable("a");
+  const int t1 = psi.system.AddVariable("t1");
+  const int t2 = psi.system.AddVariable("t2");
+  psi.system.AddConstraint(
+      Make({{psi.c1, -1}, {psi.a, 1}}, Relation::kGreaterEqual, 0));
+  psi.system.AddConstraint(
+      Make({{psi.c1, -2}, {psi.a, 1}}, Relation::kLessEqual, 0));
+  psi.system.AddConstraint(
+      Make({{psi.c2, -1}, {psi.a, 1}}, Relation::kGreaterEqual, 0));
+  psi.system.AddConstraint(
+      Make({{psi.c2, -3}, {psi.a, 1}}, Relation::kLessEqual, 0));
+  psi.system.AddConstraint(
+      Make({{psi.c1, -1}, {t1, 1}}, Relation::kLessEqual, 0));
+  psi.system.AddConstraint(Make({{t1, 1}}, Relation::kLessEqual, 1));
+  psi.system.AddConstraint(
+      Make({{psi.c2, -1}, {t2, 1}}, Relation::kLessEqual, 0));
+  psi.system.AddConstraint(Make({{t2, 1}}, Relation::kLessEqual, 1));
+  psi.objective.Add(t1, Rational(1));
+  psi.objective.Add(t2, Rational(1));
+  return psi;
+}
+
+size_t CountArtificial(const SimplexSnapshot& snapshot) {
+  size_t count = 0;
+  for (bool artificial : snapshot.is_artificial) count += artificial;
+  return count;
+}
+
+TEST(SimplexFeasibleStartTest, HomogeneousPsiSystemSkipsPhaseOne) {
+  const PsiShaped psi = MakePsiShaped();
+  // The origin is feasible and the all-slack basis starts there: a
+  // feasibility check needs no pivot at all, so phase 1 took none.
+  auto feasible = SimplexSolver().CheckFeasible(psi.system);
+  ASSERT_TRUE(feasible.ok());
+  EXPECT_EQ(feasible->outcome, LpOutcome::kOptimal);
+  EXPECT_EQ(feasible->pivots, 0u);
+  EXPECT_TRUE(psi.system.IsSatisfiedBy(feasible->values));
+
+  SimplexSnapshot snapshot;
+  auto solved =
+      SimplexSolver().SolveForSnapshot(psi.system, psi.objective, &snapshot);
+  ASSERT_TRUE(solved.ok());
+  EXPECT_EQ(solved->outcome, LpOutcome::kOptimal);
+  EXPECT_EQ(solved->objective, Rational(2));
+  EXPECT_EQ(CountArtificial(snapshot), 0u);
+  // The zero-rhs >= rows (0 and 2) entered negated on their slack.
+  ASSERT_EQ(snapshot.row_flipped.size(), psi.system.constraints().size());
+  for (size_t row = 0; row < snapshot.row_flipped.size(); ++row) {
+    EXPECT_EQ(snapshot.row_flipped[row], row == 0 || row == 2) << row;
+  }
+  // Maximize runs the same (phase-2-only) pivot sequence.
+  auto maximized = SimplexSolver().Maximize(psi.system, psi.objective);
+  ASSERT_TRUE(maximized.ok());
+  EXPECT_EQ(maximized->objective, solved->objective);
+  EXPECT_EQ(maximized->pivots, solved->pivots);
+}
+
+TEST(SimplexFeasibleStartTest, ResumeAppendsZeroRhsRowWithoutArtificial) {
+  PsiShaped psi = MakePsiShaped();
+  SimplexSnapshot snapshot;
+  auto base =
+      SimplexSolver().SolveForSnapshot(psi.system, psi.objective, &snapshot);
+  ASSERT_TRUE(base.ok());
+  ASSERT_EQ(base->outcome, LpOutcome::kOptimal);
+  const size_t artificial_before = CountArtificial(snapshot);
+
+  // A warm delta in the shape SolvePsiOverDelta emits: a new compound
+  // class c3 with a new compound attribute b (c1 -> c3) that joins c1's
+  // Natt rows, plus c3's own bound rows 1 <= b <= 1 over new unknowns
+  // only, so their right-hand sides eliminate to zero.
+  SimplexDelta delta;
+  delta.num_new_variables = 2;
+  const int c3 = snapshot.num_variables();
+  const int b = c3 + 1;
+  delta.row_extensions.push_back({0, b, Rational(1)});
+  delta.row_extensions.push_back({1, b, Rational(1)});
+  delta.new_constraints.push_back(
+      Make({{c3, -1}, {b, 1}}, Relation::kGreaterEqual, 0));
+  delta.new_constraints.push_back(
+      Make({{c3, -1}, {b, 1}}, Relation::kLessEqual, 0));
+  const LinearExpr& objective = psi.objective;
+  auto warm = SimplexSolver().ResumeMaximize(&snapshot, delta, objective);
+  ASSERT_TRUE(warm.ok());
+  EXPECT_EQ(CountArtificial(snapshot), artificial_before);
+  EXPECT_TRUE(snapshot.row_flipped[psi.system.constraints().size()]);
+  EXPECT_FALSE(snapshot.row_flipped[psi.system.constraints().size() + 1]);
+
+  LinearSystem cold;
+  for (int v = 0; v <= b; ++v) cold.AddVariable("x");
+  for (size_t row = 0; row < psi.system.constraints().size(); ++row) {
+    LinearConstraint constraint = psi.system.constraints()[row];
+    if (row <= 1) constraint.expr.Add(b, Rational(1));
+    cold.AddConstraint(constraint);
+  }
+  for (const LinearConstraint& constraint : delta.new_constraints) {
+    cold.AddConstraint(constraint);
+  }
+  auto from_scratch = SimplexSolver().Maximize(cold, objective);
+  ASSERT_TRUE(from_scratch.ok());
+  ASSERT_EQ(warm->outcome, LpOutcome::kOptimal);
+  EXPECT_EQ(from_scratch->outcome, LpOutcome::kOptimal);
+  EXPECT_EQ(warm->objective, from_scratch->objective);
+  EXPECT_TRUE(cold.IsSatisfiedBy(warm->values));
+}
+
+/// Random systems in the Ψ mix: homogeneous >= and <= rows, with a few
+/// rows of positive right-hand side (`<= b` support caps and `>= b`
+/// probe rows) and the odd equality.
+LinearSystem RandomHomogeneousMix(Rng* rng, int n, int m) {
+  LinearSystem system;
+  for (int j = 0; j < n; ++j) system.AddVariable("x");
+  for (int i = 0; i < m; ++i) {
+    LinearConstraint constraint;
+    for (int j = 0; j < n; ++j) {
+      int64_t coefficient = rng->NextInt(-3, 3);
+      if (coefficient != 0) constraint.expr.Add(j, Rational(coefficient));
+    }
+    switch (rng->NextInt(0, 5)) {
+      case 0:
+      case 1:
+        constraint.relation = Relation::kGreaterEqual;
+        break;
+      case 2:
+      case 3:
+        constraint.relation = Relation::kLessEqual;
+        break;
+      case 4:
+        constraint.relation = Relation::kLessEqual;
+        constraint.rhs = Rational(rng->NextInt(1, 4));
+        break;
+      case 5:
+        constraint.relation = rng->NextChance(1, 3) ? Relation::kEqual
+                                                    : Relation::kGreaterEqual;
+        constraint.rhs = Rational(rng->NextInt(1, 4));
+        break;
+    }
+    system.AddConstraint(constraint);
+  }
+  return system;
+}
+
+TEST(SimplexFeasibleStartProperty, KernelsBitIdenticalOnHomogeneousMix) {
+  Rng rng(20261018);
+  int skipped_phase_one = 0;
+  for (int iteration = 0; iteration < 300; ++iteration) {
+    const LinearSystem system =
+        RandomHomogeneousMix(&rng, rng.NextInt(1, 5), rng.NextInt(1, 7));
+    LinearExpr objective;
+    for (int j = 0; j < system.num_variables(); ++j) {
+      int64_t coefficient = rng.NextInt(-3, 3);
+      if (coefficient != 0) objective.Add(j, Rational(coefficient));
+    }
+    bool homogeneous = true;
+    for (const LinearConstraint& constraint : system.constraints()) {
+      homogeneous &= constraint.rhs.is_zero() ||
+                     constraint.relation == Relation::kLessEqual;
+    }
+    ASSERT_NO_FATAL_FAILURE(ExpectKernelsAgree(system, &objective));
+    LpResult feasible;
+    ASSERT_NO_FATAL_FAILURE(feasible = ExpectKernelsAgree(system, nullptr));
+    if (homogeneous) {
+      // Feasible at the all-slack basis: not a single pivot.
+      EXPECT_EQ(feasible.outcome, LpOutcome::kOptimal);
+      EXPECT_EQ(feasible.pivots, 0u) << system.ToString();
+      ++skipped_phase_one;
+    }
+  }
+  EXPECT_GT(skipped_phase_one, 20);
+}
+
+TEST(SimplexFeasibleStartTest, InfeasibleHomogeneousMixCertificate) {
+  // y >= x and x >= 2y force x = y = 0, so x + y >= 1 is infeasible. The
+  // two homogeneous rows enter negated; their multipliers must still come
+  // out >= 0 on the original >= rows (here forced strictly positive:
+  // ν0 >= 3, ν1 >= 2 for ν2 = 1).
+  LinearSystem system;
+  const int x = system.AddVariable("x");
+  const int y = system.AddVariable("y");
+  system.AddConstraint(Make({{x, -1}, {y, 1}}, Relation::kGreaterEqual, 0));
+  system.AddConstraint(Make({{x, 1}, {y, -2}}, Relation::kGreaterEqual, 0));
+  system.AddConstraint(Make({{x, 1}, {y, 1}}, Relation::kGreaterEqual, 1));
+  SimplexSolver::Options options;
+  options.extract_certificate = true;
+  auto result = SimplexSolver(options).CheckFeasible(system);
+  ASSERT_TRUE(result.ok());
+  ASSERT_EQ(result->outcome, LpOutcome::kInfeasible);
+  ASSERT_TRUE(result->infeasibility_certificate.has_value());
+  const InfeasibilityCertificate& certificate =
+      *result->infeasibility_certificate;
+  EXPECT_TRUE(ValidateInfeasibilityCertificate(system, certificate));
+  ASSERT_EQ(certificate.row_multipliers.size(), 3u);
+  EXPECT_TRUE(certificate.row_multipliers[0].is_positive());
+  EXPECT_TRUE(certificate.row_multipliers[1].is_positive());
+  EXPECT_TRUE(certificate.row_multipliers[2].is_positive());
+}
+
+TEST(SimplexFeasibleStartProperty, HomogeneousProbeCertificatesValidate) {
+  // Homogeneous rows plus one Σ x >= 1 probe row, the lazy UNSAT probe's
+  // shape: every infeasible verdict carries a certificate that validates.
+  Rng rng(1105);
+  int infeasible = 0;
+  for (int iteration = 0; iteration < 400; ++iteration) {
+    const int n = rng.NextInt(1, 4);
+    LinearSystem system;
+    for (int j = 0; j < n; ++j) system.AddVariable("x");
+    const int m = rng.NextInt(1, 5);
+    for (int i = 0; i < m; ++i) {
+      LinearConstraint constraint;
+      for (int j = 0; j < n; ++j) {
+        int64_t coefficient = rng.NextInt(-3, 3);
+        if (coefficient != 0) constraint.expr.Add(j, Rational(coefficient));
+      }
+      constraint.relation = rng.NextChance(2, 3) ? Relation::kGreaterEqual
+                                                 : Relation::kLessEqual;
+      system.AddConstraint(constraint);
+    }
+    LinearConstraint probe;
+    for (int j = 0; j < n; ++j) {
+      if (rng.NextChance(2, 3)) probe.expr.Add(j, Rational(1));
+    }
+    probe.relation = Relation::kGreaterEqual;
+    probe.rhs = Rational(1);
+    system.AddConstraint(probe);
+
+    SimplexSolver::Options options;
+    options.extract_certificate = true;
+    auto result = SimplexSolver(options).CheckFeasible(system);
+    ASSERT_TRUE(result.ok());
+    if (result->outcome == LpOutcome::kOptimal) {
+      EXPECT_TRUE(system.IsSatisfiedBy(result->values)) << system.ToString();
+      continue;
+    }
+    ++infeasible;
+    ASSERT_TRUE(result->infeasibility_certificate.has_value());
+    EXPECT_TRUE(ValidateInfeasibilityCertificate(
+        system, *result->infeasibility_certificate))
+        << system.ToString();
+  }
+  EXPECT_GT(infeasible, 40);
 }
 
 }  // namespace
