@@ -131,6 +131,17 @@ uint64_t NonzeroBytes(const SparseTableau& tableau) {
          tableau.rhs.size() * sizeof(Scalar);
 }
 
+/// Books one executed pivot: the caller's count, the governor's pivot
+/// counter and one unit of simplex work, which may trip a budget. Every
+/// pivot goes through here, the artificial-removal ones included, so
+/// LpResult::pivots, math.pivots and the work budget see the same pivots
+/// in every kernel.
+Status CountPivot(ExecContext* exec, size_t* pivots) {
+  ++*pivots;
+  if (exec != nullptr) exec->CountPivots(1);
+  return GovChargeWork(exec, 1, "simplex");
+}
+
 /// Runs primal simplex with Bland's rule, maximizing `cost . x` on the
 /// current tableau. Artificial columns never enter the basis unless
 /// `allow_artificial` is set (phase 1). Returns the outcome; on
@@ -194,9 +205,7 @@ Result<LpOutcome> RunSimplex(SparseTableau* tableau,
         reduced[entry.col] -= factor * entry.value;
       }
     }
-    ++*pivots;
-    if (exec != nullptr) exec->CountPivots(1);
-    CAR_RETURN_IF_ERROR(GovChargeWork(exec, 1, "simplex"));
+    CAR_RETURN_IF_ERROR(CountPivot(exec, pivots));
     // A pivot is an expensive work unit (O(nonzeros) exact operations),
     // so the budget stride of ChargeWork is too coarse for deadlines
     // here; consult the clock every pivot — a clock read is noise next
@@ -346,7 +355,8 @@ SparseTableau BuildTableau(const LinearSystem& system) {
 /// is available are redundant and removed. Entries are sorted by column,
 /// so "first nonzero non-artificial cell" is the same column the dense
 /// left-to-right scan picked.
-void RemoveArtificialsFromBasis(SparseTableau* tableau) {
+Status RemoveArtificialsFromBasis(SparseTableau* tableau, ExecContext* exec,
+                                  size_t* pivots) {
   for (size_t i = 0; i < tableau->rows.size();) {
     if (!tableau->is_artificial[tableau->basis[i]]) {
       ++i;
@@ -360,6 +370,7 @@ void RemoveArtificialsFromBasis(SparseTableau* tableau) {
     }
     if (replacement >= 0) {
       tableau->Pivot(i, replacement);
+      CAR_RETURN_IF_ERROR(CountPivot(exec, pivots));
       ++i;
     } else {
       // Redundant constraint: the whole row is zero over real columns.
@@ -373,6 +384,7 @@ void RemoveArtificialsFromBasis(SparseTableau* tableau) {
                                   static_cast<long>(i));
     }
   }
+  return Status::Ok();
 }
 
 std::vector<Rational> ExtractSolution(const SparseTableau& tableau, int n) {
@@ -430,7 +442,8 @@ int AppendColumn(SparseTableau* tableau, bool artificial) {
 /// right-hand side is zero (the artificial's value), so feasibility is
 /// preserved. Rows whose artificial is still positive (fresh rows awaiting
 /// phase 1) are left alone — evicting those would fabricate feasibility.
-void ParkOrEvictArtificials(SparseTableau* tableau) {
+Status ParkOrEvictArtificials(SparseTableau* tableau, ExecContext* exec,
+                              size_t* pivots) {
   for (size_t i = 0; i < tableau->rows.size(); ++i) {
     if (!tableau->is_artificial[tableau->basis[i]]) continue;
     if (!tableau->rhs[i].is_zero()) continue;
@@ -444,11 +457,13 @@ void ParkOrEvictArtificials(SparseTableau* tableau) {
       if (entry.col < tableau->zero_checked[i]) continue;
       if (tableau->is_artificial[entry.col]) continue;
       tableau->Pivot(i, entry.col);
+      CAR_RETURN_IF_ERROR(CountPivot(exec, pivots));
       evicted = true;
       break;
     }
     if (!evicted) tableau->zero_checked[i] = tableau->num_cols;
   }
+  return Status::Ok();
 }
 
 // ===========================================================================
@@ -539,9 +554,7 @@ Result<LpOutcome> RunDenseSimplex(DenseTableau<Cell>* tableau,
         }
       }
     }
-    ++*pivots;
-    if (exec != nullptr) exec->CountPivots(1);
-    CAR_RETURN_IF_ERROR(GovChargeWork(exec, 1, "simplex"));
+    CAR_RETURN_IF_ERROR(CountPivot(exec, pivots));
     CAR_RETURN_IF_ERROR(GovCheck(exec, "simplex"));
     if (max_pivots != 0 && *pivots > max_pivots) {
       return GovRecordTrip(exec, LimitKind::kMaxPivots, "simplex",
@@ -627,7 +640,8 @@ DenseTableau<Cell> BuildDenseTableau(const LinearSystem& system) {
 }
 
 template <typename Cell>
-void RemoveArtificialsFromDenseBasis(DenseTableau<Cell>* tableau) {
+Status RemoveArtificialsFromDenseBasis(DenseTableau<Cell>* tableau,
+                                       ExecContext* exec, size_t* pivots) {
   for (size_t i = 0; i < tableau->rows.size();) {
     if (!tableau->is_artificial[tableau->basis[i]]) {
       ++i;
@@ -643,6 +657,7 @@ void RemoveArtificialsFromDenseBasis(DenseTableau<Cell>* tableau) {
     }
     if (replacement >= 0) {
       tableau->Pivot(i, replacement);
+      CAR_RETURN_IF_ERROR(CountPivot(exec, pivots));
       ++i;
     } else {
       tableau->rows.erase(tableau->rows.begin() + static_cast<long>(i));
@@ -650,6 +665,7 @@ void RemoveArtificialsFromDenseBasis(DenseTableau<Cell>* tableau) {
       tableau->basis.erase(tableau->basis.begin() + static_cast<long>(i));
     }
   }
+  return Status::Ok();
 }
 
 template <typename Cell>
@@ -711,7 +727,8 @@ Result<LpResult> DenseMaximize(const SimplexSolver::Options& options,
       finish();
       return result;
     }
-    RemoveArtificialsFromDenseBasis(&tableau);
+    CAR_RETURN_IF_ERROR(
+        RemoveArtificialsFromDenseBasis(&tableau, exec, &result.pivots));
   }
 
   std::vector<Cell> phase2_cost(tableau.num_cols);
@@ -853,7 +870,8 @@ Result<LpResult> SimplexSolver::Maximize(const LinearSystem& system,
       finish();
       return result;
     }
-    RemoveArtificialsFromBasis(&tableau);
+    CAR_RETURN_IF_ERROR(RemoveArtificialsFromBasis(&tableau, options_.exec,
+                                                   &result.pivots));
   }
 
   // Phase 2: maximize the real objective.
@@ -926,7 +944,8 @@ Result<LpResult> SimplexSolver::SolveForSnapshot(
     // Unlike Maximize, keep redundant rows: a later delta may hand them
     // nonzero columns, and the snapshot's row indices must stay aligned
     // with the system's constraint indices.
-    ParkOrEvictArtificials(&tableau);
+    CAR_RETURN_IF_ERROR(
+        ParkOrEvictArtificials(&tableau, options_.exec, &result.pivots));
   }
 
   std::vector<Scalar> phase2_cost(tableau.num_cols);
@@ -1111,9 +1130,12 @@ Result<LpResult> SimplexSolver::ResumeMaximize(
     // Evict parked artificials that a new column made live again before
     // any pivoting: a basic artificial must stay at zero, which is only
     // guaranteed while its row is all-zero over real columns.
-    ParkOrEvictArtificials(&tableau);
+    Status parked =
+        ParkOrEvictArtificials(&tableau, options_.exec, &result.pivots);
+    if (!parked.ok()) TableauIntoSnapshot(std::move(tableau), snapshot);
+    return parked;
   };
-  park();
+  CAR_RETURN_IF_ERROR(park());
 
   if (added_artificial) {
     std::vector<Scalar> phase1_cost(tableau.num_cols);
@@ -1135,7 +1157,7 @@ Result<LpResult> SimplexSolver::ResumeMaximize(
       TableauIntoSnapshot(std::move(tableau), snapshot);
       return result;
     }
-    park();
+    CAR_RETURN_IF_ERROR(park());
   }
 
   const int num_vars = snapshot->num_variables();

@@ -169,6 +169,10 @@ Status Schema::Validate() const {
             StrCat("class ", name, " participates in undefined relation '",
                    RelationName(spec.relation), "'"));
       }
+      if (spec.role < 0 || spec.role >= num_roles()) {
+        return NotFound(StrCat("role id ", spec.role,
+                               " out of range in class ", name));
+      }
       if (relation->RoleIndex(spec.role) < 0) {
         return NotFound(StrCat("role '", RoleName(spec.role),
                                "' is not a role of relation '",

@@ -7,11 +7,10 @@
 #include "analysis/subschema.h"
 #include "base/hashing.h"
 #include "base/strings.h"
-#include "base/thread_pool.h"
 #include "frontend/printer.h"
 #include "persist/snapshot_format.h"
+#include "reasoner/implication.h"
 #include "reasoner/prefilter.h"
-#include "solver/solve.h"
 
 namespace car {
 
@@ -26,48 +25,13 @@ void MaxRelaxed(std::atomic<uint64_t>* counter, uint64_t value) {
   }
 }
 
-/// The bound-shape shortcuts the from-scratch Implies* methods answer
-/// before building anything. Mirrors their validation order exactly:
-/// a minimum of 0 is true even for an out-of-range attribute (the
-/// from-scratch path returns before validating), while an infinite
-/// maximum cardinality is only a shortcut when the attribute id is
-/// valid (the from-scratch path validates first).
-std::optional<bool> TrivialAnswer(const Schema& schema,
-                                  const ImplicationQuery& query) {
-  switch (query.kind) {
-    case ImplicationQuery::Kind::kMinCardinality:
-    case ImplicationQuery::Kind::kMinParticipation:
-      if (query.bound == 0) return true;
-      return std::nullopt;
-    case ImplicationQuery::Kind::kMaxCardinality:
-      if (query.term.attribute >= 0 &&
-          query.term.attribute < schema.num_attributes() &&
-          query.bound == Cardinality::kInfinity) {
-        return true;
-      }
-      return std::nullopt;
-    case ImplicationQuery::Kind::kMaxParticipation:
-      if (query.bound == Cardinality::kInfinity) return true;
-      return std::nullopt;
-    default:
-      return std::nullopt;
-  }
-}
-
 }  // namespace
 
 IncrementalSession::IncrementalSession(const Schema* schema,
                                        ReasonerOptions options)
     : schema_(schema), options_(std::move(options)) {
   CAR_CHECK(schema != nullptr);
-  if (options_.num_threads != 1) {
-    options_.expansion.num_threads = options_.num_threads;
-    options_.solver.num_threads = options_.num_threads;
-  }
-  if (options_.exec != nullptr) {
-    options_.expansion.exec = options_.exec;
-    options_.solver.exec = options_.exec;
-  }
+  PropagateStageOptions(&options_);
 }
 
 std::string IncrementalSession::CanonicalQueryKey(
@@ -126,6 +90,22 @@ Status IncrementalSession::EnsureBase() {
   if (base_ready_ && fingerprint == fingerprint_) return Status::Ok();
   // The schema changed under the session (or this is the first call):
   // every memoized answer and the frozen base state are stale.
+  ResetBase();
+  if (options_.lazy_expansion) {
+    CAR_RETURN_IF_ERROR(RouteLazySession());
+  } else {
+    CAR_ASSIGN_OR_RETURN(Expansion expansion,
+                         BuildExpansion(*schema_, options_.expansion));
+    CAR_RETURN_IF_ERROR(EnsureSolvedBaseLocked(std::move(expansion)));
+  }
+  // The schema is validated by this point on both branches above.
+  AnalyzeForPrefilter();
+  fingerprint_ = fingerprint;
+  base_ready_ = true;
+  return Status::Ok();
+}
+
+void IncrementalSession::ResetBase() {
   base_ready_ = false;
   base_solved_.store(false, std::memory_order_release);
   memo_.clear();
@@ -134,25 +114,16 @@ Status IncrementalSession::EnsureBase() {
   psi_base_.reset();
   schema_analysis_.reset();
   lazy_probes_ = false;
-  if (options_.lazy_expansion) {
-    CAR_RETURN_IF_ERROR(RouteLazySession());
-  } else {
-    CAR_ASSIGN_OR_RETURN(Expansion expansion,
-                         BuildExpansion(*schema_, options_.expansion));
-    CAR_RETURN_IF_ERROR(EnsureSolvedBaseLocked(std::move(expansion)));
-  }
-  if (options_.prefilter) {
-    // The prefilter tiers' artifact: propagated closure tables, unsat
-    // flags and the dependency adjacency. Lint messages are skipped —
-    // only the structure is needed here. The schema is validated by this
-    // point on both branches above.
-    AnalyzerOptions analyzer_options;
-    analyzer_options.lint = false;
-    schema_analysis_ = AnalyzeSchema(*schema_, analyzer_options);
-  }
-  fingerprint_ = fingerprint;
-  base_ready_ = true;
-  return Status::Ok();
+}
+
+void IncrementalSession::AnalyzeForPrefilter() {
+  if (!options_.prefilter) return;
+  // The prefilter tiers' artifact: propagated closure tables, unsat flags
+  // and the dependency adjacency. Lint messages are skipped — only the
+  // structure is needed here.
+  AnalyzerOptions analyzer_options;
+  analyzer_options.lint = false;
+  schema_analysis_ = AnalyzeSchema(*schema_, analyzer_options);
 }
 
 size_t IncrementalSession::BaseCompoundBound() const {
@@ -234,25 +205,11 @@ Status IncrementalSession::EnsureSolvedBaseLocked(Expansion expansion) {
   return Status::Ok();
 }
 
-Result<bool> IncrementalSession::AuxSatisfiable(
-    const ClassFormula& isa, const std::vector<AttributeSpec>& attributes,
-    const std::vector<ParticipationSpec>& participations) {
-  // Identical auxiliary-schema construction to the from-scratch
-  // reasoner, so validation errors (bad ids in specs or formulas) are
-  // byte-identical.
-  Schema extended = *schema_;
-  std::string name = "__car_query";
-  int suffix = 0;
-  while (extended.LookupClass(name) != kInvalidId) {
-    name = StrCat("__car_query_", ++suffix);
-  }
-  ClassId aux = extended.InternClass(name);
-  ClassDefinition* definition = extended.mutable_class_definition(aux);
-  definition->isa = isa;
-  definition->attributes = attributes;
-  definition->participations = participations;
-  CAR_RETURN_IF_ERROR(extended.Validate());
-
+Result<bool> IncrementalSession::AuxSatisfiable(const AuxClassProbe& probe) {
+  CAR_ASSIGN_OR_RETURN(AuxiliarySchema auxiliary,
+                       BuildAuxiliarySchema(*schema_, probe));
+  const Schema& extended = auxiliary.schema;
+  const ClassId aux = auxiliary.aux;
   probes_.fetch_add(1, std::memory_order_relaxed);
   // Tier-2: when the probe's dependency closure covers at most a quarter
   // of the schema, solve it exactly on the projected sub-schema instead
@@ -274,11 +231,8 @@ Result<bool> IncrementalSession::AuxSatisfiable(
       if (options_.exec != nullptr) {
         options_.exec->CountClusterLocalSolves(1);
       }
-      CAR_ASSIGN_OR_RETURN(Expansion sub_expansion,
-                           BuildExpansion(sub->schema, options_.expansion));
-      CAR_ASSIGN_OR_RETURN(PsiSolution sub_solution,
-                           SolvePsi(sub_expansion, options_.solver));
-      return sub_solution.IsClassSatisfiable(sub->class_map[aux]);
+      return EagerClassSatisfiable(sub->schema, sub->class_map[aux],
+                                   options_);
     }
   }
   if (lazy_probes_) {
@@ -335,98 +289,7 @@ Result<bool> IncrementalSession::AuxSatisfiable(
     }
   }
   fallbacks_.fetch_add(1, std::memory_order_relaxed);
-  CAR_ASSIGN_OR_RETURN(Expansion expansion,
-                       BuildExpansion(extended, options_.expansion));
-  CAR_ASSIGN_OR_RETURN(PsiSolution solution,
-                       SolvePsi(expansion, options_.solver));
-  return solution.IsClassSatisfiable(aux);
-}
-
-Result<bool> IncrementalSession::QueryUncached(const ImplicationQuery& query) {
-  // Mirrors Reasoner::Implies* decision-for-decision (validation order
-  // included) with AuxSatisfiable swapped for the incremental probe.
-  switch (query.kind) {
-    case ImplicationQuery::Kind::kIsa: {
-      if (query.class_id < 0 || query.class_id >= schema_->num_classes()) {
-        return NotFound(StrCat("class id ", query.class_id, " out of range"));
-      }
-      for (const ClassClause& clause : query.formula.clauses()) {
-        ClassFormula auxiliary_isa = ClassFormula::OfClass(query.class_id);
-        for (const ClassLiteral& literal : clause.literals()) {
-          auxiliary_isa.AddClause(ClassClause::Of(literal.Complement()));
-        }
-        CAR_ASSIGN_OR_RETURN(bool satisfiable,
-                             AuxSatisfiable(auxiliary_isa, {}, {}));
-        if (satisfiable) return false;
-      }
-      return true;
-    }
-    case ImplicationQuery::Kind::kDisjoint: {
-      if (query.class_id < 0 || query.class_id >= schema_->num_classes() ||
-          query.other < 0 || query.other >= schema_->num_classes()) {
-        return NotFound("class id out of range");
-      }
-      ClassFormula both = ClassFormula::OfClass(query.class_id);
-      both.AndWith(ClassFormula::OfClass(query.other));
-      CAR_ASSIGN_OR_RETURN(bool satisfiable, AuxSatisfiable(both, {}, {}));
-      return !satisfiable;
-    }
-    case ImplicationQuery::Kind::kMinCardinality: {
-      if (query.bound == 0) return true;
-      if (query.term.attribute < 0 ||
-          query.term.attribute >= schema_->num_attributes()) {
-        return NotFound(
-            StrCat("attribute id ", query.term.attribute, " out of range"));
-      }
-      AttributeSpec spec;
-      spec.term = query.term;
-      spec.cardinality = Cardinality(0, query.bound - 1);
-      spec.range = ClassFormula::True();
-      CAR_ASSIGN_OR_RETURN(
-          bool satisfiable,
-          AuxSatisfiable(ClassFormula::OfClass(query.class_id), {spec}, {}));
-      return !satisfiable;
-    }
-    case ImplicationQuery::Kind::kMaxCardinality: {
-      if (query.term.attribute < 0 ||
-          query.term.attribute >= schema_->num_attributes()) {
-        return NotFound(
-            StrCat("attribute id ", query.term.attribute, " out of range"));
-      }
-      if (query.bound == Cardinality::kInfinity) return true;
-      AttributeSpec spec;
-      spec.term = query.term;
-      spec.cardinality = Cardinality::AtLeast(query.bound + 1);
-      spec.range = ClassFormula::True();
-      CAR_ASSIGN_OR_RETURN(
-          bool satisfiable,
-          AuxSatisfiable(ClassFormula::OfClass(query.class_id), {spec}, {}));
-      return !satisfiable;
-    }
-    case ImplicationQuery::Kind::kMinParticipation: {
-      if (query.bound == 0) return true;
-      ParticipationSpec spec;
-      spec.relation = query.relation;
-      spec.role = query.role;
-      spec.cardinality = Cardinality(0, query.bound - 1);
-      CAR_ASSIGN_OR_RETURN(
-          bool satisfiable,
-          AuxSatisfiable(ClassFormula::OfClass(query.class_id), {}, {spec}));
-      return !satisfiable;
-    }
-    case ImplicationQuery::Kind::kMaxParticipation: {
-      if (query.bound == Cardinality::kInfinity) return true;
-      ParticipationSpec spec;
-      spec.relation = query.relation;
-      spec.role = query.role;
-      spec.cardinality = Cardinality::AtLeast(query.bound + 1);
-      CAR_ASSIGN_OR_RETURN(
-          bool satisfiable,
-          AuxSatisfiable(ClassFormula::OfClass(query.class_id), {}, {spec}));
-      return !satisfiable;
-    }
-  }
-  return Internal("unknown implication query kind");
+  return EagerClassSatisfiable(extended, aux, options_);
 }
 
 Result<std::vector<bool>> IncrementalSession::RunImplicationBatch(
@@ -442,8 +305,9 @@ Result<std::vector<bool>> IncrementalSession::RunImplicationBatch(
     return base;
   }
 
-  // Serial resolve pass: bound-shape shortcuts, memo hits, and
-  // deduplication of the remaining queries by canonical key.
+  // Serial resolve pass: the shared shortcut step (the same one
+  // DecideImplication starts with), memo hits, and deduplication of the
+  // remaining queries by canonical key.
   struct Slot {
     bool resolved = false;
     bool answer = false;
@@ -454,7 +318,8 @@ Result<std::vector<bool>> IncrementalSession::RunImplicationBatch(
   std::vector<std::string> unique_keys;
   std::map<std::string, int> key_to_unique;
   for (size_t i = 0; i < queries.size(); ++i) {
-    if (std::optional<bool> trivial = TrivialAnswer(*schema_, queries[i])) {
+    if (std::optional<bool> trivial =
+            ImplicationShortcut(*schema_, queries[i])) {
       slots[i].resolved = true;
       slots[i].answer = *trivial;
       ++trivial_;
@@ -502,43 +367,29 @@ Result<std::vector<bool>> IncrementalSession::RunImplicationBatch(
     slots[i].unique_index = entry->second;
   }
 
-  // Parallel evaluation of the deduplicated misses; per-slot outcomes
-  // keep the result order-insensitive, like the from-scratch batch.
-  std::vector<Result<bool>> outcomes(unique.size(), Result<bool>(false));
+  // Parallel evaluation of the deduplicated misses. The first error in
+  // unique order is the first in ORIGINAL query order too (unique
+  // indices follow first occurrence), matching the from-scratch batch.
+  std::vector<bool> outcomes;
   if (!unique.empty()) {
-    ParallelForOptions parallel;
-    parallel.num_threads = options_.num_threads;
-    parallel.cancel = exec;
-    ParallelFor(unique.size(), parallel,
-                [this, exec, &unique, &outcomes](size_t begin, size_t end) {
-                  for (size_t i = begin; i < end; ++i) {
-                    Status charge = GovChargeWork(exec, 1, "implication");
-                    if (!charge.ok()) {
-                      outcomes[i] = std::move(charge);
-                      return;
-                    }
-                    outcomes[i] = QueryUncached(*unique[i]);
-                    if (exec != nullptr) exec->CountQueries(1);
-                  }
-                });
-    if (exec != nullptr && exec->tripped()) {
-      exec->OverridePhaseOnTrip("implication");
-    }
-    // Skipped chunks leave default-false slots; surface the trip.
-    CAR_RETURN_IF_ERROR(GovCheck(exec, "implication"));
+    CAR_ASSIGN_OR_RETURN(
+        outcomes,
+        GovernedSweep(unique.size(), options_.num_threads, exec,
+                      /*normalize_trip_phase=*/true, [&](size_t i) {
+                        Result<bool> answer = DecideImplication(
+                            *schema_, *unique[i],
+                            [this](const AuxClassProbe& probe) {
+                              return AuxSatisfiable(probe);
+                            });
+                        if (exec != nullptr) exec->CountQueries(1);
+                        return answer;
+                      }));
   }
 
-  // First error in ORIGINAL query order, matching the from-scratch
-  // batch; duplicates share their unique execution's error.
-  for (size_t i = 0; i < queries.size(); ++i) {
-    if (!slots[i].resolved) {
-      CAR_RETURN_IF_ERROR(outcomes[slots[i].unique_index].status());
-    }
-  }
   // Only successful answers are memoized; a tripped or failed batch
   // recomputes everything next time.
   for (size_t u = 0; u < unique.size(); ++u) {
-    memo_.emplace(unique_keys[u], outcomes[u].value());
+    memo_.emplace(unique_keys[u], outcomes[u]);
   }
   queries_ += queries.size();
   std::vector<bool> answers;
@@ -546,7 +397,7 @@ Result<std::vector<bool>> IncrementalSession::RunImplicationBatch(
   for (size_t i = 0; i < queries.size(); ++i) {
     answers.push_back(slots[i].resolved
                           ? slots[i].answer
-                          : outcomes[slots[i].unique_index].value());
+                          : outcomes[slots[i].unique_index]);
   }
   return answers;
 }
@@ -560,11 +411,8 @@ Result<bool> IncrementalSession::RunImplicationQuery(
 }
 
 void IncrementalSession::set_exec(ExecContext* exec) {
-  // Mirrors the constructor's propagation: the expansion and solver
-  // stages each read their own exec pointer.
   options_.exec = exec;
-  options_.expansion.exec = exec;
-  options_.solver.exec = exec;
+  PropagateStageOptions(&options_);
 }
 
 uint64_t IncrementalSession::EstimatedMemoryBytes() const {
@@ -662,22 +510,12 @@ Status IncrementalSession::Deserialize(std::string_view bytes) {
   // failure below leaves base_ready_ false and the next query rebuilds
   // from scratch — a restore can degrade to a cold start but never to a
   // corrupted warm state.
-  base_ready_ = false;
-  base_solved_.store(false, std::memory_order_release);
-  memo_.clear();
-  base_expansion_.reset();
-  analysis_.reset();
-  psi_base_.reset();
-  schema_analysis_.reset();
+  ResetBase();
 
   snapshot.expansion.schema = schema_;
   // Derived lookup indexes are rebuilt, never trusted from disk.
   snapshot.expansion.RebuildDerivedIndexes();
-  if (options_.prefilter) {
-    AnalyzerOptions analyzer_options;
-    analyzer_options.lint = false;
-    schema_analysis_ = AnalyzeSchema(*schema_, analyzer_options);
-  }
+  AnalyzeForPrefilter();
   Result<ExpansionBaseAnalysis> analysis =
       AnalyzeBaseExpansion(*schema_, snapshot.expansion, options_.expansion);
   if (analysis.ok() != snapshot.has_psi) {

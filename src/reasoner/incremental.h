@@ -202,6 +202,14 @@ class IncrementalSession {
   /// the heavy base build to EnsureSolvedBase and probes lazily.
   Status EnsureBase();
 
+  /// Drops the base state, the memo and the routing decision: the
+  /// session is cold until the next build or restore succeeds.
+  void ResetBase();
+
+  /// Builds schema_analysis_ for the prefilter tiers (options.prefilter;
+  /// needs a valid schema).
+  void AnalyzeForPrefilter();
+
   /// Decides, from the schema alone, whether a lazy session probes
   /// lazily: enumerates the pruned expansion under BaseCompoundBound()
   /// and, when it completes, solves the base from it (warm-delta
@@ -235,19 +243,13 @@ class IncrementalSession {
   /// expansion; caller holds base_build_mutex_ or is serial.
   Status EnsureSolvedBaseLocked(Expansion expansion);
 
-  /// Evaluates one query without consulting the memo. Mirrors the
-  /// decision structure of the corresponding Reasoner::Implies* method
-  /// exactly (validation order included), with the auxiliary-class
-  /// satisfiability checks routed through the incremental path.
-  Result<bool> QueryUncached(const ImplicationQuery& query);
-
-  /// Satisfiability of a fresh auxiliary class with the given
-  /// definition: delta-extend the base expansion and warm-start the Ψ
-  /// solve; falls back to the from-scratch build when the delta path
-  /// declines (kFailedPrecondition).
-  Result<bool> AuxSatisfiable(
-      const ClassFormula& isa, const std::vector<AttributeSpec>& attributes,
-      const std::vector<ParticipationSpec>& participations);
+  /// The session's prober for the shared reduction: satisfiability of
+  /// the probe's auxiliary class through the tiers in order —
+  /// cluster-local sub-schema solve, lazy engine (lazy_probes_ only),
+  /// base-expansion delta with a warm-started Ψ solve, and the eager
+  /// solve of the whole auxiliary schema when the delta path declines
+  /// (kFailedPrecondition).
+  Result<bool> AuxSatisfiable(const AuxClassProbe& probe);
 
   const Schema* schema_;
   ReasonerOptions options_;

@@ -124,7 +124,7 @@ std::optional<bool> ClosurePrefilterAnswer(const Schema& schema,
       return std::nullopt;
     }
     case ImplicationQuery::Kind::kMinCardinality: {
-      // bound == 0 is the TrivialAnswer shortcut; leave it to that tier
+      // bound == 0 is the ImplicationShortcut step; leave it to that step
       // so the decision structure (and its validation-skipping shape)
       // stays in one place.
       if (query.bound == 0) return std::nullopt;

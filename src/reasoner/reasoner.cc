@@ -1,12 +1,13 @@
 #include "reasoner/reasoner.h"
 
+#include <algorithm>
 #include <map>
 
 #include "base/hashing.h"
 #include "base/strings.h"
-#include "base/thread_pool.h"
 #include "frontend/printer.h"
 #include "math/simplex.h"
+#include "reasoner/implication.h"
 #include "reasoner/incremental.h"
 #include "solver/psi.h"
 
@@ -46,31 +47,13 @@ Result<bool> FeasibleWithUnitLowerBounds(const PsiSystem& psi,
 Result<bool> AnyProbeFeasible(const PsiSystem& psi,
                               const std::vector<std::vector<int>>& probes,
                               int num_threads, ExecContext* exec) {
-  std::vector<Result<bool>> outcomes(probes.size(), Result<bool>(false));
-  ParallelForOptions parallel;
-  parallel.num_threads = num_threads;
-  parallel.cancel = exec;
-  ParallelFor(probes.size(), parallel,
-              [&psi, &probes, &outcomes, exec](size_t begin, size_t end) {
-                for (size_t i = begin; i < end; ++i) {
-                  Status charge = GovChargeWork(exec, 1, "implication");
-                  if (!charge.ok()) {
-                    outcomes[i] = std::move(charge);
-                    return;
-                  }
-                  outcomes[i] =
-                      FeasibleWithUnitLowerBounds(psi, probes[i], exec);
-                }
-              });
-  // A trip skips chunks, leaving default-false outcome slots; surface the
-  // trip rather than fold a partial disjunction into an answer.
-  CAR_RETURN_IF_ERROR(GovCheck(exec, "implication"));
-  bool any = false;
-  for (const Result<bool>& outcome : outcomes) {
-    CAR_RETURN_IF_ERROR(outcome.status());
-    any = any || outcome.value();
-  }
-  return any;
+  CAR_ASSIGN_OR_RETURN(
+      std::vector<bool> feasible,
+      GovernedSweep(probes.size(), num_threads, exec,
+                    /*normalize_trip_phase=*/false, [&](size_t i) {
+                      return FeasibleWithUnitLowerBounds(psi, probes[i], exec);
+                    }));
+  return std::find(feasible.begin(), feasible.end(), true) != feasible.end();
 }
 
 }  // namespace
@@ -90,14 +73,7 @@ const char* VerdictToString(Verdict verdict) {
 Reasoner::Reasoner(const Schema* schema, ReasonerOptions options)
     : schema_(schema), options_(std::move(options)) {
   CAR_CHECK(schema != nullptr);
-  if (options_.num_threads != 1) {
-    options_.expansion.num_threads = options_.num_threads;
-    options_.solver.num_threads = options_.num_threads;
-  }
-  if (options_.exec != nullptr) {
-    options_.expansion.exec = options_.exec;
-    options_.solver.exec = options_.exec;
-  }
+  PropagateStageOptions(&options_);
 }
 
 Reasoner::~Reasoner() = default;
@@ -164,35 +140,41 @@ Result<bool> Reasoner::IsClassSatisfiable(std::string_view class_name) {
 }
 
 Result<SatReport> Reasoner::CheckSchema() {
+  // Graceful degradation: a governed run whose limit tripped yields a
+  // kUnknown report with the structured LimitReport and the partial
+  // statistics instead of an error. Ungoverned runs (and genuine
+  // failures unrelated to the governor) keep the error status.
+  auto degrade = [this](Status failure) -> Result<SatReport> {
+    if (options_.exec == nullptr || !options_.exec->tripped()) return failure;
+    SatReport report;
+    report.verdict = Verdict::kUnknown;
+    report.limit = options_.exec->report();
+    report.progress = options_.exec->progress();
+    return report;
+  };
+  auto decided = [this](const std::vector<bool>& class_satisfiable) {
+    SatReport report;
+    report.class_satisfiable = class_satisfiable;
+    for (ClassId c = 0; c < schema_->num_classes(); ++c) {
+      if (!report.class_satisfiable[c]) {
+        report.unsatisfiable_classes.push_back(c);
+      }
+    }
+    report.verdict = report.unsatisfiable_classes.empty() ? Verdict::kSat
+                                                          : Verdict::kUnsat;
+    if (options_.exec != nullptr) report.progress = options_.exec->progress();
+    return report;
+  };
   if (options_.lazy_expansion) {
     std::vector<ClassId> targets(schema_->num_classes());
     for (ClassId c = 0; c < schema_->num_classes(); ++c) targets[c] = c;
     Result<LazyOutcome> lazy =
         RunLazyExpansion(*schema_, targets, nullptr, options_.expansion,
                          options_.solver, options_.lazy);
-    if (!lazy.ok()) {
-      // Same graceful degradation as the eager path below.
-      if (options_.exec != nullptr && options_.exec->tripped()) {
-        SatReport report;
-        report.verdict = Verdict::kUnknown;
-        report.limit = options_.exec->report();
-        report.progress = options_.exec->progress();
-        return report;
-      }
-      return lazy.status();
-    }
+    if (!lazy.ok()) return degrade(lazy.status());
     if (lazy->conclusive) {
-      SatReport report;
+      SatReport report = decided(lazy->class_satisfiable);
       report.lazy = true;
-      report.class_satisfiable.assign(lazy->class_satisfiable.begin(),
-                                      lazy->class_satisfiable.end());
-      for (ClassId c = 0; c < schema_->num_classes(); ++c) {
-        if (!report.class_satisfiable[c]) {
-          report.unsatisfiable_classes.push_back(c);
-        }
-      }
-      report.verdict = report.unsatisfiable_classes.empty() ? Verdict::kSat
-                                                            : Verdict::kUnsat;
       report.num_compound_classes = lazy->compounds_materialized;
       report.num_compound_attributes = lazy->compound_attributes;
       report.num_compound_relations = lazy->compound_relations;
@@ -202,158 +184,93 @@ Result<SatReport> Reasoner::CheckSchema() {
       report.compounds_materialized = lazy->compounds_materialized;
       report.blocking_constraints = lazy->blocking_constraints;
       report.certificate_closures = lazy->certificate_closures;
-      if (options_.exec != nullptr) {
-        report.progress = options_.exec->progress();
-      }
       return report;
     }
     // Inconclusive: fall through to the eager path.
   }
   Status prepared = Prepare();
-  if (!prepared.ok()) {
-    // Graceful degradation: a governed run whose limit tripped yields a
-    // kUnknown report with the structured LimitReport and the partial
-    // statistics instead of an error. Ungoverned runs (and genuine
-    // failures unrelated to the governor) keep the error status.
-    if (options_.exec != nullptr && options_.exec->tripped()) {
-      SatReport report;
-      report.verdict = Verdict::kUnknown;
-      report.limit = options_.exec->report();
-      report.progress = options_.exec->progress();
-      return report;
-    }
-    return prepared;
-  }
-  SatReport report;
-  report.class_satisfiable = solution_->class_satisfiable;
-  for (ClassId c = 0; c < schema_->num_classes(); ++c) {
-    if (!solution_->class_satisfiable[c]) {
-      report.unsatisfiable_classes.push_back(c);
-    }
-  }
-  report.verdict = report.unsatisfiable_classes.empty() ? Verdict::kSat
-                                                        : Verdict::kUnsat;
+  if (!prepared.ok()) return degrade(prepared);
+  SatReport report = decided(solution_->class_satisfiable);
   report.num_compound_classes = expansion_->compound_classes.size();
   report.num_compound_attributes = expansion_->compound_attributes.size();
   report.num_compound_relations = expansion_->compound_relations.size();
   report.lp_solves = solution_->lp_solves;
   report.fixpoint_rounds = solution_->fixpoint_rounds;
-  if (options_.exec != nullptr) report.progress = options_.exec->progress();
   return report;
 }
 
-Result<bool> Reasoner::AuxiliaryClassSatisfiable(
-    const ClassFormula& isa, const std::vector<AttributeSpec>& attributes,
-    const std::vector<ParticipationSpec>& participations) {
-  Schema extended = *schema_;
-  // Pick a fresh name for the auxiliary class.
-  std::string name = "__car_query";
-  int suffix = 0;
-  while (extended.LookupClass(name) != kInvalidId) {
-    name = StrCat("__car_query_", ++suffix);
-  }
-  ClassId aux = extended.InternClass(name);
-  ClassDefinition* definition = extended.mutable_class_definition(aux);
-  definition->isa = isa;
-  definition->attributes = attributes;
-  definition->participations = participations;
-  CAR_RETURN_IF_ERROR(extended.Validate());
-
+Result<bool> Reasoner::AuxiliaryClassSatisfiable(const AuxClassProbe& probe) {
+  CAR_ASSIGN_OR_RETURN(AuxiliarySchema extended,
+                       BuildAuxiliarySchema(*schema_, probe));
   if (options_.lazy_expansion) {
     CAR_ASSIGN_OR_RETURN(
         LazyOutcome lazy,
-        RunLazyExpansion(extended, {aux}, nullptr, options_.expansion,
-                         options_.solver, options_.lazy));
-    if (lazy.conclusive) return static_cast<bool>(lazy.class_satisfiable[aux]);
+        RunLazyExpansion(extended.schema, {extended.aux}, nullptr,
+                         options_.expansion, options_.solver, options_.lazy));
+    if (lazy.conclusive) {
+      return static_cast<bool>(lazy.class_satisfiable[extended.aux]);
+    }
     // Inconclusive: fall through to the eager probe.
   }
+  return EagerClassSatisfiable(extended.schema, extended.aux, options_);
+}
 
-  CAR_ASSIGN_OR_RETURN(Expansion expansion,
-                       BuildExpansion(extended, options_.expansion));
-  CAR_ASSIGN_OR_RETURN(PsiSolution solution,
-                       SolvePsi(expansion, options_.solver));
-  return solution.IsClassSatisfiable(aux);
+Result<bool> Reasoner::DecideFromScratch(const ImplicationQuery& query) {
+  return DecideImplication(*schema_, query, [this](const AuxClassProbe& probe) {
+    return AuxiliaryClassSatisfiable(probe);
+  });
 }
 
 Result<bool> Reasoner::ImpliesIsa(ClassId subclass,
                                   const ClassFormula& formula) {
-  if (subclass < 0 || subclass >= schema_->num_classes()) {
-    return NotFound(StrCat("class id ", subclass, " out of range"));
-  }
-  // C ⊑ γ1 ∧ ... ∧ γn iff C ⊑ γj for every clause. C ⊑ L1 ∨ ... ∨ Lm iff
-  // the auxiliary class (C ∧ ¬L1 ∧ ... ∧ ¬Lm) is unsatisfiable.
-  for (const ClassClause& clause : formula.clauses()) {
-    ClassFormula auxiliary_isa = ClassFormula::OfClass(subclass);
-    for (const ClassLiteral& literal : clause.literals()) {
-      auxiliary_isa.AddClause(ClassClause::Of(literal.Complement()));
-    }
-    CAR_ASSIGN_OR_RETURN(bool satisfiable,
-                         AuxiliaryClassSatisfiable(auxiliary_isa, {}, {}));
-    if (satisfiable) return false;
-  }
-  return true;
+  return DecideFromScratch({.kind = ImplicationQuery::Kind::kIsa,
+                            .class_id = subclass,
+                            .formula = formula});
 }
 
 Result<bool> Reasoner::ImpliesDisjoint(ClassId a, ClassId b) {
-  if (a < 0 || a >= schema_->num_classes() || b < 0 ||
-      b >= schema_->num_classes()) {
-    return NotFound("class id out of range");
-  }
-  ClassFormula both = ClassFormula::OfClass(a);
-  both.AndWith(ClassFormula::OfClass(b));
-  CAR_ASSIGN_OR_RETURN(bool satisfiable,
-                       AuxiliaryClassSatisfiable(both, {}, {}));
-  return !satisfiable;
+  return DecideFromScratch(
+      {.kind = ImplicationQuery::Kind::kDisjoint, .class_id = a, .other = b});
 }
 
 Result<bool> Reasoner::ImpliesMinCardinality(ClassId class_id,
                                              AttributeTerm term,
                                              uint64_t min) {
-  if (min == 0) return true;
-  if (term.attribute < 0 || term.attribute >= schema_->num_attributes()) {
-    return NotFound(StrCat("attribute id ", term.attribute, " out of range"));
-  }
-  // The auxiliary class is a C-instance allowed at most min-1 successors;
-  // it is satisfiable iff the minimum is NOT implied.
-  AttributeSpec spec;
-  spec.term = term;
-  spec.cardinality = Cardinality(0, min - 1);
-  spec.range = ClassFormula::True();
-  CAR_ASSIGN_OR_RETURN(
-      bool satisfiable,
-      AuxiliaryClassSatisfiable(ClassFormula::OfClass(class_id), {spec}, {}));
-  return !satisfiable;
+  return DecideFromScratch({.kind = ImplicationQuery::Kind::kMinCardinality,
+                            .class_id = class_id,
+                            .term = term,
+                            .bound = min});
 }
 
 Result<bool> Reasoner::ImpliesMaxCardinality(ClassId class_id,
                                              AttributeTerm term,
                                              uint64_t max) {
-  if (term.attribute < 0 || term.attribute >= schema_->num_attributes()) {
-    return NotFound(StrCat("attribute id ", term.attribute, " out of range"));
-  }
-  if (max == Cardinality::kInfinity) return true;
-  AttributeSpec spec;
-  spec.term = term;
-  spec.cardinality = Cardinality::AtLeast(max + 1);
-  spec.range = ClassFormula::True();
-  CAR_ASSIGN_OR_RETURN(
-      bool satisfiable,
-      AuxiliaryClassSatisfiable(ClassFormula::OfClass(class_id), {spec}, {}));
-  return !satisfiable;
+  return DecideFromScratch({.kind = ImplicationQuery::Kind::kMaxCardinality,
+                            .class_id = class_id,
+                            .term = term,
+                            .bound = max});
 }
 
 Result<bool> Reasoner::ImpliesMinParticipation(ClassId class_id,
                                                RelationId relation,
                                                RoleId role, uint64_t min) {
-  if (min == 0) return true;
-  ParticipationSpec spec;
-  spec.relation = relation;
-  spec.role = role;
-  spec.cardinality = Cardinality(0, min - 1);
-  CAR_ASSIGN_OR_RETURN(
-      bool satisfiable,
-      AuxiliaryClassSatisfiable(ClassFormula::OfClass(class_id), {}, {spec}));
-  return !satisfiable;
+  return DecideFromScratch(
+      {.kind = ImplicationQuery::Kind::kMinParticipation,
+       .class_id = class_id,
+       .relation = relation,
+       .role = role,
+       .bound = min});
+}
+
+Result<bool> Reasoner::ImpliesMaxParticipation(ClassId class_id,
+                                               RelationId relation,
+                                               RoleId role, uint64_t max) {
+  return DecideFromScratch(
+      {.kind = ImplicationQuery::Kind::kMaxParticipation,
+       .class_id = class_id,
+       .relation = relation,
+       .role = role,
+       .bound = max});
 }
 
 Result<bool> Reasoner::ImpliesRoleTyping(RelationId relation, RoleId role,
@@ -547,41 +464,11 @@ Result<Cardinality> Reasoner::ImpliedCardinalityBounds(
   return Cardinality(implied_min, implied_max);
 }
 
-Result<bool> Reasoner::ImpliesMaxParticipation(ClassId class_id,
-                                               RelationId relation,
-                                               RoleId role, uint64_t max) {
-  if (max == Cardinality::kInfinity) return true;
-  ParticipationSpec spec;
-  spec.relation = relation;
-  spec.role = role;
-  spec.cardinality = Cardinality::AtLeast(max + 1);
-  CAR_ASSIGN_OR_RETURN(
-      bool satisfiable,
-      AuxiliaryClassSatisfiable(ClassFormula::OfClass(class_id), {}, {spec}));
-  return !satisfiable;
-}
-
 Result<bool> Reasoner::RunImplicationQuery(const ImplicationQuery& query) {
   if (options_.incremental) {
     return GetIncrementalSession()->RunImplicationQuery(query);
   }
-  switch (query.kind) {
-    case ImplicationQuery::Kind::kIsa:
-      return ImpliesIsa(query.class_id, query.formula);
-    case ImplicationQuery::Kind::kDisjoint:
-      return ImpliesDisjoint(query.class_id, query.other);
-    case ImplicationQuery::Kind::kMinCardinality:
-      return ImpliesMinCardinality(query.class_id, query.term, query.bound);
-    case ImplicationQuery::Kind::kMaxCardinality:
-      return ImpliesMaxCardinality(query.class_id, query.term, query.bound);
-    case ImplicationQuery::Kind::kMinParticipation:
-      return ImpliesMinParticipation(query.class_id, query.relation,
-                                     query.role, query.bound);
-    case ImplicationQuery::Kind::kMaxParticipation:
-      return ImpliesMaxParticipation(query.class_id, query.relation,
-                                     query.role, query.bound);
-  }
-  return Internal("unknown implication query kind");
+  return DecideFromScratch(query);
 }
 
 Result<std::vector<bool>> Reasoner::RunImplicationBatch(
@@ -590,41 +477,14 @@ Result<std::vector<bool>> Reasoner::RunImplicationBatch(
     return GetIncrementalSession()->RunImplicationBatch(queries);
   }
   // Every query builds and solves a private auxiliary schema and touches
-  // no cached reasoner state, so the batch can run concurrently; answers
-  // land in per-query slots, making the result order-insensitive.
-  std::vector<Result<bool>> outcomes(queries.size(), Result<bool>(false));
-  ParallelForOptions parallel;
-  parallel.num_threads = options_.num_threads;
-  parallel.cancel = options_.exec;
-  ParallelFor(queries.size(), parallel,
-              [this, &queries, &outcomes](size_t begin, size_t end) {
-                for (size_t i = begin; i < end; ++i) {
-                  Status charge =
-                      GovChargeWork(options_.exec, 1, "implication");
-                  if (!charge.ok()) {
-                    outcomes[i] = std::move(charge);
-                    return;
-                  }
-                  outcomes[i] = RunImplicationQuery(queries[i]);
-                  if (options_.exec != nullptr) options_.exec->CountQueries(1);
-                }
-              });
-  // Concurrent queries interleave pipeline phases, so the phase recorded
-  // at a trip would depend on the schedule; normalize it to the batch's
-  // own phase so tripped batches report identically for every thread
-  // count.
-  if (options_.exec != nullptr && options_.exec->tripped()) {
-    options_.exec->OverridePhaseOnTrip("implication");
-  }
-  // Skipped chunks leave default-false slots; surface the trip instead.
-  CAR_RETURN_IF_ERROR(GovCheck(options_.exec, "implication"));
-  std::vector<bool> answers;
-  answers.reserve(outcomes.size());
-  for (const Result<bool>& outcome : outcomes) {
-    CAR_RETURN_IF_ERROR(outcome.status());
-    answers.push_back(outcome.value());
-  }
-  return answers;
+  // no cached reasoner state, so the batch can run concurrently.
+  ExecContext* exec = options_.exec;
+  return GovernedSweep(queries.size(), options_.num_threads, exec,
+                       /*normalize_trip_phase=*/true, [&](size_t i) {
+                         Result<bool> answer = DecideFromScratch(queries[i]);
+                         if (exec != nullptr) exec->CountQueries(1);
+                         return answer;
+                       });
 }
 
 }  // namespace car

@@ -122,9 +122,9 @@ struct ImplicationQuery {
   /// kDisjoint only.
   ClassId other = kInvalidId;
   /// kIsa only.
-  ClassFormula formula;
+  ClassFormula formula{};
   /// kMinCardinality / kMaxCardinality only.
-  AttributeTerm term;
+  AttributeTerm term{};
   /// kMinParticipation / kMaxParticipation only.
   RelationId relation = kInvalidId;
   RoleId role = kInvalidId;
@@ -143,6 +143,7 @@ struct ImplicationQuery {
 /// of the schema with one fresh auxiliary class and run an independent
 /// satisfiability check on it; the borrowed schema is never mutated.
 class IncrementalSession;
+struct AuxClassProbe;
 
 class Reasoner {
  public:
@@ -249,11 +250,13 @@ class Reasoner {
   /// Lazily constructs the incremental session (options.incremental).
   IncrementalSession* GetIncrementalSession();
 
-  /// Builds a copy of the schema plus a fresh class with the given
-  /// definition parts and returns satisfiability of the fresh class.
-  Result<bool> AuxiliaryClassSatisfiable(
-      const ClassFormula& isa, const std::vector<AttributeSpec>& attributes,
-      const std::vector<ParticipationSpec>& participations);
+  /// The from-scratch prober: satisfiability of the probe's auxiliary
+  /// class by a private expansion and solve of the extended schema (lazy
+  /// first under options.lazy_expansion). Touches no cached state.
+  Result<bool> AuxiliaryClassSatisfiable(const AuxClassProbe& probe);
+
+  /// The shared reduction (reasoner/implication.h) over that prober.
+  Result<bool> DecideFromScratch(const ImplicationQuery& query);
 
   const Schema* schema_;
   ReasonerOptions options_;

@@ -15,6 +15,8 @@
 
 #include <set>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "base/exec_context.h"
@@ -290,6 +292,165 @@ TEST(IncrementalEquivalenceTest, MalformedQueriesErrorLikeFromScratch) {
   auto answers = session.RunImplicationBatch({bad});
   ASSERT_FALSE(answers.ok());
   EXPECT_EQ(expected.status().ToString(), answers.status().ToString());
+
+  // The table: every query kind with each kind of bad id, the bound
+  // shortcuts next to bad ids, and an ISA whose bad clause is reached
+  // only after an implied first clause. Each case must answer (or fail
+  // with the same status) as the from-scratch reasoner does, one by one
+  // and as one batch, in eager and lazy sessions at 1 and 8 threads; the
+  // bound shortcuts are counted as trivial in every configuration.
+  Schema figure2 = testing_schemas::Figure2();
+  const ClassId grad = figure2.LookupClass("Grad_Student");
+  const ClassId student = figure2.LookupClass("Student");
+  const ClassId person = figure2.LookupClass("Person");
+  const ClassId course = figure2.LookupClass("Course");
+  const ClassId bad_class = static_cast<ClassId>(figure2.num_classes() + 3);
+  const AttributeTerm taught_by =
+      AttributeTerm::Direct(figure2.LookupAttribute("taught_by"));
+  const RelationId enrollment = figure2.LookupRelation("Enrollment");
+  const RoleId enrolls = figure2.LookupRole("enrolls");
+
+  auto valid = [&](ImplicationQuery::Kind kind) {
+    ImplicationQuery query;
+    query.kind = kind;
+    query.class_id = student;
+    query.other = figure2.LookupClass("Professor");
+    query.formula = ClassFormula::OfClass(person);
+    query.term = taught_by;
+    if (kind == ImplicationQuery::Kind::kMinCardinality ||
+        kind == ImplicationQuery::Kind::kMaxCardinality) {
+      query.class_id = course;
+    }
+    query.relation = enrollment;
+    query.role = enrolls;
+    query.bound = 2;
+    return query;
+  };
+  struct Case {
+    std::string label;
+    ImplicationQuery query;
+    bool trivial = false;
+  };
+  std::vector<Case> cases;
+  const std::pair<const char*, ImplicationQuery::Kind> kinds[] = {
+      {"isa", ImplicationQuery::Kind::kIsa},
+      {"disjoint", ImplicationQuery::Kind::kDisjoint},
+      {"min-card", ImplicationQuery::Kind::kMinCardinality},
+      {"max-card", ImplicationQuery::Kind::kMaxCardinality},
+      {"min-part", ImplicationQuery::Kind::kMinParticipation},
+      {"max-part", ImplicationQuery::Kind::kMaxParticipation},
+  };
+  for (const auto& [name, kind] : kinds) {
+    const std::string label = name;
+    Case bad_id{label + " bad-class", valid(kind)};
+    bad_id.query.class_id = bad_class;
+    cases.push_back(bad_id);
+    Case bad_other{label + " bad-other", valid(kind)};
+    bad_other.query.other = bad_class;
+    cases.push_back(bad_other);
+    Case bad_attribute{label + " bad-attribute", valid(kind)};
+    bad_attribute.query.term =
+        AttributeTerm::Inverse(figure2.num_attributes() + 2);
+    cases.push_back(bad_attribute);
+    Case bad_relation{label + " bad-relation", valid(kind)};
+    bad_relation.query.relation = figure2.num_relations() + 2;
+    cases.push_back(bad_relation);
+    Case foreign_role{label + " role-of-other-relation", valid(kind)};
+    foreign_role.query.role = figure2.LookupRole("of");
+    cases.push_back(foreign_role);
+    Case bad_role{label + " bad-role", valid(kind)};
+    bad_role.query.role = figure2.num_roles() + 5;
+    cases.push_back(bad_role);
+  }
+  // Bound 0 (minimum) and infinity (maximum) next to bad ids: minima of 0
+  // and maximum participations of infinity are true before any
+  // validation; a maximum cardinality of infinity is true only for a
+  // valid attribute.
+  for (const auto& [name, kind, bound, trivial] :
+       std::vector<std::tuple<std::string, ImplicationQuery::Kind, uint64_t,
+                              bool>>{
+           {"min-card", ImplicationQuery::Kind::kMinCardinality, 0, true},
+           {"max-card", ImplicationQuery::Kind::kMaxCardinality,
+            Cardinality::kInfinity, true},
+           {"min-part", ImplicationQuery::Kind::kMinParticipation, 0, true},
+           {"max-part", ImplicationQuery::Kind::kMaxParticipation,
+            Cardinality::kInfinity, true}}) {
+    const std::string label = StrCat(name, " bound=", bound);
+    Case bad_id{label + " bad-class", valid(kind), trivial};
+    bad_id.query.class_id = bad_class;
+    bad_id.query.bound = bound;
+    cases.push_back(bad_id);
+    const bool cardinality = kind == ImplicationQuery::Kind::kMinCardinality ||
+                             kind == ImplicationQuery::Kind::kMaxCardinality;
+    Case bad_target{label + (cardinality ? " bad-attribute" : " bad-relation"),
+                    valid(kind),
+                    kind != ImplicationQuery::Kind::kMaxCardinality};
+    bad_target.query.bound = bound;
+    if (cardinality) {
+      bad_target.query.term =
+          AttributeTerm::Direct(figure2.num_attributes() + 2);
+    } else {
+      bad_target.query.relation = figure2.num_relations() + 2;
+    }
+    cases.push_back(bad_target);
+  }
+  {
+    // Grad_Student isa Person holds, so the second, bad clause is reached.
+    Case reached{"isa implied-then-bad-clause",
+                 valid(ImplicationQuery::Kind::kIsa)};
+    reached.query.class_id = grad;
+    reached.query.formula.AddClause(
+        ClassClause::Of(ClassLiteral::Positive(bad_class)));
+    cases.push_back(reached);
+    // Person isa Student fails at the first clause, before the bad one.
+    Case early{"isa refuted-before-bad-clause",
+               valid(ImplicationQuery::Kind::kIsa)};
+    early.query.class_id = person;
+    early.query.formula = ClassFormula::OfClass(student);
+    early.query.formula.AddClause(
+        ClassClause::Of(ClassLiteral::Positive(bad_class)));
+    cases.push_back(early);
+  }
+
+  auto render = [](const Result<std::vector<bool>>& outcome) {
+    if (!outcome.ok()) return StrCat("error: ", outcome.status().ToString());
+    std::string text;
+    for (bool answer : *outcome) text += answer ? "1" : "0";
+    return text;
+  };
+  Reasoner figure2_reference(&figure2, ReasonerOptions{});
+  std::vector<ImplicationQuery> all;
+  std::vector<std::string> expected_each;
+  uint64_t expected_trivial = 0;
+  for (const Case& c : cases) {
+    all.push_back(c.query);
+    expected_each.push_back(
+        render(figure2_reference.RunImplicationBatch({c.query})));
+    if (c.trivial) ++expected_trivial;
+  }
+  const std::string expected_all =
+      render(figure2_reference.RunImplicationBatch(all));
+  for (bool lazy : {false, true}) {
+    for (int threads : {1, 8}) {
+      ReasonerOptions options;
+      options.num_threads = threads;
+      options.lazy_expansion = lazy;
+      const std::string config =
+          StrCat(lazy ? "lazy" : "eager", " threads=", threads);
+      for (size_t i = 0; i < cases.size(); ++i) {
+        IncrementalSession one(&figure2, options);
+        EXPECT_EQ(expected_each[i], render(one.RunImplicationBatch(
+                                        {cases[i].query})))
+            << cases[i].label << " " << config;
+        EXPECT_EQ(cases[i].trivial ? 1u : 0u, one.stats().trivial)
+            << cases[i].label << " " << config;
+      }
+      IncrementalSession batch(&figure2, options);
+      EXPECT_EQ(expected_all, render(batch.RunImplicationBatch(all)))
+          << config;
+      EXPECT_EQ(expected_trivial, batch.stats().trivial) << config;
+    }
+  }
 }
 
 ReasonerOptions LazyOptions(int threads) {

@@ -87,7 +87,7 @@ std::vector<std::string> MakeQueryLines(const Schema& schema,
 }
 
 /// Ground truth: the from-scratch engine (no incremental machinery, no
-/// governor), the same path `car_tool query --from-scratch` runs.
+/// governor).
 std::vector<uint8_t> OfflineAnswers(const Schema& schema,
                                     const std::vector<std::string>& lines) {
   std::vector<ImplicationQuery> queries;

@@ -864,5 +864,63 @@ TEST(SimplexFeasibleStartProperty, HomogeneousProbeCertificatesValidate) {
   EXPECT_GT(infeasible, 40);
 }
 
+/// Artificial-removal pivots are pivots. On the homogeneous equalities
+/// -x - y = 0 and -y - z = 0 no column has a positive phase-1 reduced
+/// cost, so phase 1 stops at the origin with both artificials basic, and
+/// both pivots come from moving them out of the basis (RemoveArtificials*
+/// in Maximize, ParkOrEvictArtificials in SolveForSnapshot). They count
+/// in LpResult::pivots and the governor's pivot counter for every kernel,
+/// and are charged as work, so a budget of one trips inside the solve.
+TEST(SimplexTest, ArtificialRemovalPivotsAreCountedAndCharged) {
+  LinearSystem system;
+  int x = system.AddVariable("x");
+  int y = system.AddVariable("y");
+  int z = system.AddVariable("z");
+  system.AddConstraint(Make({{x, -1}, {y, -1}}, Relation::kEqual, 0));
+  system.AddConstraint(Make({{y, -1}, {z, -1}}, Relation::kEqual, 0));
+
+  for (SimplexKernel kernel :
+       {SimplexKernel::kSparseScalar, SimplexKernel::kDenseRational,
+        SimplexKernel::kDenseScalar}) {
+    ExecContext exec;
+    SimplexSolver::Options options;
+    options.kernel = kernel;
+    options.exec = &exec;
+    auto feasible = SimplexSolver(options).CheckFeasible(system);
+    ASSERT_TRUE(feasible.ok()) << SimplexKernelToString(kernel);
+    EXPECT_EQ(feasible->outcome, LpOutcome::kOptimal);
+    EXPECT_EQ(feasible->pivots, 2u) << SimplexKernelToString(kernel);
+    EXPECT_EQ(exec.progress().pivots_executed, 2u)
+        << SimplexKernelToString(kernel);
+  }
+
+  ExecContext exec;
+  SimplexSolver::Options options;
+  options.exec = &exec;
+  SimplexSnapshot snapshot;
+  auto solved =
+      SimplexSolver(options).SolveForSnapshot(system, LinearExpr(), &snapshot);
+  ASSERT_TRUE(solved.ok());
+  EXPECT_EQ(solved->outcome, LpOutcome::kOptimal);
+  EXPECT_EQ(solved->pivots, 2u);
+  EXPECT_EQ(exec.progress().pivots_executed, 2u);
+
+  for (bool snapshot_solve : {false, true}) {
+    ExecContext budgeted;
+    budgeted.SetWorkBudget(1);
+    SimplexSolver::Options governed;
+    governed.exec = &budgeted;
+    SimplexSnapshot scratch;
+    Result<LpResult> outcome =
+        snapshot_solve ? SimplexSolver(governed).SolveForSnapshot(
+                             system, LinearExpr(), &scratch)
+                       : SimplexSolver(governed).CheckFeasible(system);
+    EXPECT_FALSE(outcome.ok()) << snapshot_solve;
+    ASSERT_TRUE(budgeted.tripped()) << snapshot_solve;
+    EXPECT_EQ(budgeted.report().kind, LimitKind::kWorkBudget);
+    EXPECT_EQ(budgeted.report().phase, "simplex");
+  }
+}
+
 }  // namespace
 }  // namespace car

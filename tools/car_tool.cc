@@ -21,8 +21,7 @@
 //                                        batch implication queries from a
 //                                        file, answered by the incremental
 //                                        engine (one base solve + expansion
-//                                        deltas + warm-started LPs + memo);
-//                                        --from-scratch opts out
+//                                        deltas + warm-started LPs + memo)
 //   car_tool snapshot save <schema-file> <state-dir>
 //                                        build a warm session (running
 //                                        --queries first if given) and
@@ -89,8 +88,6 @@ int g_num_threads = 1;
 std::string g_queries_path;
 /// Lazy (counterexample-guided) expansion; set by --lazy-expansion.
 bool g_lazy_expansion = false;
-/// Answer the `query` batch from scratch instead of incrementally.
-bool g_from_scratch = false;
 /// Output format of the `lint` command ("text" or "json"); --format=.
 std::string g_format = "text";
 /// Tenant the `snapshot` commands address; --tenant=.
@@ -166,8 +163,6 @@ int Usage() {
          "                              and blank lines are skipped)\n"
          "options:\n"
          "  --queries=<file>            query file for the `query` command\n"
-         "  --from-scratch              `query` only: disable the\n"
-         "                              incremental engine\n"
          "  --lazy-expansion            counterexample-guided expansion:\n"
          "                              answer over a materialized subset\n"
          "                              of the compounds when conclusive,\n"
@@ -436,66 +431,6 @@ int Lint(Schema& schema, const std::string& path) {
   return counts.errors > 0 ? kExitUnsat : kExitSat;
 }
 
-int Query(Schema& schema) {
-  if (g_queries_path.empty()) {
-    std::cerr << "`query` needs --queries=<file>\n";
-    return kExitError;
-  }
-  std::ifstream file(g_queries_path);
-  if (!file) {
-    std::cerr << "cannot open '" << g_queries_path << "'\n";
-    return kExitError;
-  }
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  std::vector<std::string> lines;
-  auto parsed = ParseQueryText(schema, buffer.str(), &lines);
-  if (!parsed.ok()) {
-    std::cerr << parsed.status() << "\n";
-    return kExitError;
-  }
-  std::vector<ImplicationQuery> queries = std::move(parsed.value());
-
-  ReasonerOptions options = MakeReasonerOptions();
-  options.incremental = !g_from_scratch;
-  Reasoner reasoner(&schema, options);
-  auto answers = reasoner.RunImplicationBatch(queries);
-  if (!answers.ok()) return ReportFailure("error", answers.status());
-  for (size_t i = 0; i < lines.size(); ++i) {
-    std::cout << lines[i] << ": "
-              << ((*answers)[i] ? "implied" : "not-implied") << "\n";
-  }
-  // The session statistics are deterministic for every --threads value
-  // (the memo pass is serial; warm-start counts follow the deterministic
-  // fixpoint; promotion sums and fill maxima are commutative over the
-  // single-threaded per-probe solves), so they are safe to print on
-  // stdout.
-  if (const IncrementalSession* session = reasoner.incremental_session()) {
-    IncrementalStats stats = session->stats();
-    std::cout << "incremental: queries=" << stats.queries
-              << " closure-hits=" << stats.closure_hits
-              << " cluster-local=" << stats.cluster_local
-              << " memo-hits=" << stats.memo_hits
-              << " memo-misses=" << stats.memo_misses
-              << " probes=" << stats.probes
-              << " warm-starts=" << stats.warm_starts
-              << " fallbacks=" << stats.fallbacks
-              << " scalar-promotions=" << stats.scalar_promotions
-              << " peak-tableau-nnz=" << stats.peak_tableau_nonzeros
-              << " peak-tableau-cells=" << stats.peak_tableau_cells << "\n";
-    if (g_lazy_expansion) {
-      std::cout << "lazy: hits=" << stats.lazy_hits
-                << " refinement-rounds=" << stats.lazy_refinement_rounds
-                << " compounds-materialized="
-                << stats.lazy_compounds_materialized
-                << " blocking-constraints=" << stats.lazy_blocking_constraints
-                << " certificate-closures=" << stats.lazy_certificate_closures
-                << " spurious-witnesses=" << stats.spurious_witnesses << "\n";
-    }
-  }
-  return kExitSat;
-}
-
 /// Reads and parses the --queries file; nullopt (after printing the
 /// diagnostic) on failure.
 std::optional<std::vector<ImplicationQuery>> LoadQueryFile(
@@ -513,6 +448,51 @@ std::optional<std::vector<ImplicationQuery>> LoadQueryFile(
     return std::nullopt;
   }
   return std::move(parsed.value());
+}
+
+int Query(Schema& schema) {
+  if (g_queries_path.empty()) {
+    std::cerr << "`query` needs --queries=<file>\n";
+    return kExitError;
+  }
+  std::vector<std::string> lines;
+  auto queries = LoadQueryFile(schema, &lines);
+  if (!queries.has_value()) return kExitError;
+
+  IncrementalSession session(&schema, MakeReasonerOptions());
+  auto answers = session.RunImplicationBatch(*queries);
+  if (!answers.ok()) return ReportFailure("error", answers.status());
+  for (size_t i = 0; i < lines.size(); ++i) {
+    std::cout << lines[i] << ": "
+              << ((*answers)[i] ? "implied" : "not-implied") << "\n";
+  }
+  // The session statistics are deterministic for every --threads value
+  // (the memo pass is serial; warm-start counts follow the deterministic
+  // fixpoint; promotion sums and fill maxima are commutative over the
+  // single-threaded per-probe solves), so they are safe to print on
+  // stdout.
+  IncrementalStats stats = session.stats();
+  std::cout << "incremental: queries=" << stats.queries
+            << " closure-hits=" << stats.closure_hits
+            << " cluster-local=" << stats.cluster_local
+            << " memo-hits=" << stats.memo_hits
+            << " memo-misses=" << stats.memo_misses
+            << " probes=" << stats.probes
+            << " warm-starts=" << stats.warm_starts
+            << " fallbacks=" << stats.fallbacks
+            << " scalar-promotions=" << stats.scalar_promotions
+            << " peak-tableau-nnz=" << stats.peak_tableau_nonzeros
+            << " peak-tableau-cells=" << stats.peak_tableau_cells << "\n";
+  if (g_lazy_expansion) {
+    std::cout << "lazy: hits=" << stats.lazy_hits
+              << " refinement-rounds=" << stats.lazy_refinement_rounds
+              << " compounds-materialized="
+              << stats.lazy_compounds_materialized
+              << " blocking-constraints=" << stats.lazy_blocking_constraints
+              << " certificate-closures=" << stats.lazy_certificate_closures
+              << " spurious-witnesses=" << stats.spurious_witnesses << "\n";
+  }
+  return kExitSat;
 }
 
 /// `snapshot save <file> <dir>`: builds a warm session (answering the
@@ -690,10 +670,6 @@ int Run(int argc, char** argv) {
     }
     if (arg.rfind("--queries=", 0) == 0) {
       g_queries_path = arg.substr(10);
-      continue;
-    }
-    if (arg == "--from-scratch") {
-      g_from_scratch = true;
       continue;
     }
     if (arg == "--lazy-expansion") {
