@@ -63,6 +63,33 @@ std::string Expansion::Summary() const {
 
 namespace {
 
+/// Brings `preamble`, the preamble of the schema's first
+/// preamble->propagated.num_classes() classes, up to every class of
+/// `schema` (see ExtendExpansionPreamble).
+void ExtendPreambleInPlace(const Schema& schema,
+                           const ExpansionOptions& options,
+                           ExpansionPreamble* preamble) {
+  PairTableOptions table_options;
+  table_options.propagate = options.propagate_tables;
+  ExtendPairTables(schema, table_options, &preamble->propagated);
+  if (options.union_free_completion && schema.IsUnionFree()) {
+    if (!preamble->completion.has_value()) {
+      // Nothing to resume (no classes yet, or the older classes were not
+      // completed): run the completion from its empty state.
+      preamble->completion.emplace();
+      preamble->tables = preamble->propagated;
+    }
+    ExtendUnionFreeCompletion(schema, preamble->propagated,
+                              &*preamble->completion, &preamble->tables);
+  } else {
+    preamble->completion.reset();
+    preamble->tables = preamble->propagated;
+  }
+  preamble->partition = options.use_clusters
+                            ? ComputeClusters(schema, preamble->tables)
+                            : SingleCluster(schema);
+}
+
 /// Number of leading enumeration positions fixed per shard: enough for
 /// roughly four shards per thread (stealing slack for uneven subtrees),
 /// capped so small clusters are not oversplit.
@@ -76,6 +103,23 @@ int PrefixBits(size_t positions, int threads) {
 }
 
 }  // namespace
+
+ExpansionPreamble BuildExpansionPreamble(const Schema& schema,
+                                         const ExpansionOptions& options) {
+  ExpansionPreamble preamble;
+  ExtendPreambleInPlace(schema, options, &preamble);
+  return preamble;
+}
+
+ExpansionPreamble ExtendExpansionPreamble(const ExpansionPreamble& base,
+                                          const Schema& schema,
+                                          const ExpansionOptions& options) {
+  // The partition is recomputed, so it is not copied.
+  ExpansionPreamble preamble{base.tables, {}, base.propagated,
+                             base.completion};
+  ExtendPreambleInPlace(schema, options, &preamble);
+  return preamble;
+}
 
 /// Assembles an Expansion: enumerates consistent compound classes (with
 /// the selected strategy), then derives Natt/Nrel and the constrained
@@ -103,6 +147,9 @@ class ExpansionBuilder {
   /// True once the enumeration emitted more than `compound_bound`
   /// non-empty compound classes; Build() then failed without a trip.
   bool bound_exceeded() const { return bound_exceeded_; }
+
+  /// The preamble the pruned enumeration ran with (moved out).
+  ExpansionPreamble TakePreamble() { return std::move(preamble_); }
 
   Result<Expansion> Build() {
     expansion_.schema = &schema_;
@@ -171,15 +218,9 @@ class ExpansionBuilder {
     if (options_.strategy == ExpansionStrategy::kExhaustive) {
       return EnumerateExhaustive();
     }
-    PairTableOptions table_options;
-    table_options.propagate = options_.propagate_tables;
-    PairTables tables = BuildPairTables(schema_, table_options);
-    if (options_.union_free_completion && schema_.IsUnionFree()) {
-      CompleteDisjointnessUnionFree(schema_, &tables);
-    }
-    ClusterPartition partition = options_.use_clusters
-                                     ? ComputeClusters(schema_, tables)
-                                     : SingleCluster(schema_);
+    preamble_ = BuildExpansionPreamble(schema_, options_);
+    const PairTables& tables = preamble_.tables;
+    const ClusterPartition& partition = preamble_.partition;
 
     const int threads = EffectiveThreads(options_.num_threads);
     std::vector<PrunedShard> shards;
@@ -640,20 +681,27 @@ class ExpansionBuilder {
   ExecContext* exec_;
   ParallelForOptions parallel_;
   Expansion expansion_;
+  ExpansionPreamble preamble_;
   const size_t compound_bound_;
   size_t emitted_ = 0;
   bool bound_exceeded_ = false;
 };
 
 Result<Expansion> BuildExpansion(const Schema& schema,
-                                 const ExpansionOptions& options) {
+                                 const ExpansionOptions& options,
+                                 ExpansionPreamble* preamble) {
   CAR_RETURN_IF_ERROR(schema.Validate());
-  return ExpansionBuilder(schema, options).Build();
+  ExpansionBuilder builder(schema, options);
+  CAR_ASSIGN_OR_RETURN(Expansion expansion, builder.Build());
+  if (preamble != nullptr && options.strategy == ExpansionStrategy::kPruned) {
+    *preamble = builder.TakePreamble();
+  }
+  return expansion;
 }
 
 Result<std::optional<Expansion>> BuildExpansionWithinBound(
     const Schema& schema, const ExpansionOptions& options,
-    size_t max_compounds) {
+    size_t max_compounds, ExpansionPreamble* preamble) {
   CAR_RETURN_IF_ERROR(schema.Validate());
   ExpansionOptions serial = options;
   serial.num_threads = 1;
@@ -661,6 +709,9 @@ Result<std::optional<Expansion>> BuildExpansionWithinBound(
   Result<Expansion> expansion = builder.Build();
   if (builder.bound_exceeded()) return std::optional<Expansion>();
   CAR_RETURN_IF_ERROR(expansion.status());
+  if (preamble != nullptr && options.strategy == ExpansionStrategy::kPruned) {
+    *preamble = builder.TakePreamble();
+  }
   return std::optional<Expansion>(std::move(expansion).value());
 }
 

@@ -9,6 +9,9 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/clusters.h"
+#include "analysis/pair_tables.h"
+#include "analysis/union_free.h"
 #include "base/exec_context.h"
 #include "base/result.h"
 #include "expansion/compound.h"
@@ -132,9 +135,46 @@ struct ExpansionOptions {
   ExecContext* exec = nullptr;
 };
 
-/// Builds the expansion of a validated schema.
+/// The preselection preamble of the pruned enumeration: pair tables with
+/// the configured propagation (and the union-free completion when it
+/// applies), plus the cluster partition the enumeration runs over. Also
+/// carries the state a later extension resumes from: the propagated
+/// tables before completion and the completion's fixpoint contexts.
+struct ExpansionPreamble {
+  /// What the enumeration prunes with.
+  PairTables tables{0};
+  ClusterPartition partition;
+  /// The propagated tables before the union-free completion.
+  PairTables propagated{0};
+  /// The completion's fixpoint; set iff the completion ran.
+  std::optional<UnionFreeContexts> completion;
+};
+
+/// The one preamble recipe, shared by the eager builder, the lazy
+/// engine and the incremental probes (so every compound the lazy engine
+/// materializes is a member of the eager compound set): the extension
+/// below, started from the preamble of no classes.
+ExpansionPreamble BuildExpansionPreamble(const Schema& schema,
+                                         const ExpansionOptions& options);
+
+/// The preamble of `schema`, which is the schema `base` was built for
+/// with classes appended that no older class mentions (an implication
+/// probe's auxiliary class): extends the propagated tables and resumes
+/// the completion's fixpoint from `base` instead of rebuilding them, then
+/// recomputes the partition. Equal to BuildExpansionPreamble(schema,
+/// options): both propagation and completion are monotone fixpoints, so
+/// resuming one reaches the from-scratch result (see ExtendPairTables
+/// and ExtendUnionFreeCompletion).
+ExpansionPreamble ExtendExpansionPreamble(const ExpansionPreamble& base,
+                                          const Schema& schema,
+                                          const ExpansionOptions& options);
+
+/// Builds the expansion of a validated schema. With the pruned strategy
+/// and a non-null `preamble`, also hands out the preamble the
+/// enumeration pruned with (callers that keep it need not rebuild it).
 Result<Expansion> BuildExpansion(const Schema& schema,
-                                 const ExpansionOptions& options = {});
+                                 const ExpansionOptions& options = {},
+                                 ExpansionPreamble* preamble = nullptr);
 
 /// Builds the expansion of a validated schema if its enumeration yields
 /// at most `max_compounds` non-empty compound classes, and returns
@@ -145,9 +185,10 @@ Result<Expansion> BuildExpansion(const Schema& schema,
 /// serially, so the work charged before the bound stops the enumeration
 /// does not depend on options.num_threads; a completed build is
 /// bit-identical to BuildExpansion's and charges the same work.
+/// `preamble` as for BuildExpansion.
 Result<std::optional<Expansion>> BuildExpansionWithinBound(
     const Schema& schema, const ExpansionOptions& options,
-    size_t max_compounds);
+    size_t max_compounds, ExpansionPreamble* preamble = nullptr);
 
 /// Assembles the expansion artifact over an explicitly given compound
 /// class set instead of enumerating one: prepends the empty compound

@@ -5,26 +5,12 @@
 #include <set>
 #include <utility>
 
-#include "analysis/union_free.h"
 #include "base/check.h"
 #include "expansion/cluster_enum.h"
 
 namespace car {
 
 namespace {
-
-/// Replays the preselection preamble of the pruned enumeration (the same
-/// recipe ExpansionBuilder::EnumerateCompoundClasses uses).
-PairTables BuildTablesFor(const Schema& schema,
-                          const ExpansionOptions& options) {
-  PairTableOptions table_options;
-  table_options.propagate = options.propagate_tables;
-  PairTables tables = BuildPairTables(schema, table_options);
-  if (options.union_free_completion && schema.IsUnionFree()) {
-    CompleteDisjointnessUnionFree(schema, &tables);
-  }
-  return tables;
-}
 
 /// True when the cluster's pruning inputs agree under both tables: every
 /// within-cluster disjointness and inclusion entry (including the
@@ -93,31 +79,29 @@ ConstrainedEndpoints CollectConstrainedEndpoints(
 
 Result<ExpansionBaseAnalysis> AnalyzeBaseExpansion(
     const Schema& schema, const Expansion& base,
-    const ExpansionOptions& options) {
+    const ExpansionOptions& options,
+    std::optional<ExpansionPreamble> preamble) {
   if (options.strategy != ExpansionStrategy::kPruned) {
     return FailedPrecondition(
         "incremental expansion deltas require the pruned strategy");
   }
-  ExpansionBaseAnalysis analysis{BuildTablesFor(schema, options),
-                                 {},
-                                 {},
-                                 {},
-                                 CollectConstrainedEndpoints(base.natt,
-                                                             base.nrel)};
-  analysis.partition = options.use_clusters
-                           ? ComputeClusters(schema, analysis.tables)
-                           : SingleCluster(schema);
-  analysis.cluster_compounds.assign(analysis.partition.num_clusters(), {});
+  ExpansionBaseAnalysis analysis{
+      preamble.has_value() ? std::move(*preamble)
+                           : BuildExpansionPreamble(schema, options),
+      {},
+      {},
+      CollectConstrainedEndpoints(base.natt, base.nrel)};
+  const ClusterPartition& partition = analysis.preamble.partition;
+  analysis.cluster_compounds.assign(partition.num_clusters(), {});
   for (size_t i = 1; i < base.compound_classes.size(); ++i) {
     const CompoundClass& compound = base.compound_classes[i];
     CAR_CHECK(!compound.empty());
-    const int cluster =
-        analysis.partition.cluster_of[compound.members().front()];
+    const int cluster = partition.cluster_of[compound.members().front()];
     // The pruned enumeration never mixes clusters; verify rather than
     // assume (a mismatch would mean `base` was built with different
     // options than the ones replayed here).
     for (ClassId member : compound.members()) {
-      if (analysis.partition.cluster_of[member] != cluster) {
+      if (partition.cluster_of[member] != cluster) {
         return FailedPrecondition(
             "base expansion has a cross-cluster compound class; it was "
             "not built with the replayed options");
@@ -125,8 +109,8 @@ Result<ExpansionBaseAnalysis> AnalyzeBaseExpansion(
     }
     analysis.cluster_compounds[cluster].push_back(static_cast<int>(i));
   }
-  for (int k = 0; k < analysis.partition.num_clusters(); ++k) {
-    analysis.cluster_by_classes.emplace(analysis.partition.clusters[k], k);
+  for (int k = 0; k < partition.num_clusters(); ++k) {
+    analysis.cluster_by_classes.emplace(partition.clusters[k], k);
   }
   return analysis;
 }
@@ -141,14 +125,14 @@ Result<ExpansionDelta> ExtendExpansionWithAuxClass(
   const int num_base_cc = static_cast<int>(base.compound_classes.size());
   ExpansionDelta delta;
 
-  // --- Compound classes: re-cluster the extended schema; clusters whose
-  // class list and within-cluster table rows are unchanged keep their base
-  // compounds wholesale, the rest are re-enumerated with the extended
-  // tables.
-  PairTables ext_tables = BuildTablesFor(ext_schema, options);
-  ClusterPartition ext_partition =
-      options.use_clusters ? ComputeClusters(ext_schema, ext_tables)
-                           : SingleCluster(ext_schema);
+  // --- Compound classes: extend the base preamble by the auxiliary
+  // class; clusters whose class list and within-cluster table rows are
+  // unchanged keep their base compounds wholesale, the rest are
+  // re-enumerated with the extended tables.
+  const ExpansionPreamble ext =
+      ExtendExpansionPreamble(analysis.preamble, ext_schema, options);
+  const PairTables& base_tables = analysis.preamble.tables;
+  const ClusterPartition& base_partition = analysis.preamble.partition;
 
   // Base compounds the re-enumerated clusters must re-emit (all compounds
   // of every base cluster they cover) vs. those actually seen. Set
@@ -157,12 +141,12 @@ Result<ExpansionDelta> ExtendExpansionWithAuxClass(
   std::set<int> reemitted_base;
   std::vector<CompoundClass> new_compounds;
 
-  for (const std::vector<ClassId>& cluster : ext_partition.clusters) {
+  for (const std::vector<ClassId>& cluster : ext.partition.clusters) {
     bool reusable = false;
     if (std::find(cluster.begin(), cluster.end(), aux) == cluster.end()) {
       auto it = analysis.cluster_by_classes.find(cluster);
       if (it != analysis.cluster_by_classes.end() &&
-          ClusterTablesUnchanged(cluster, analysis.tables, ext_tables)) {
+          ClusterTablesUnchanged(cluster, base_tables, ext.tables)) {
         reusable = true;
       }
     }
@@ -174,12 +158,12 @@ Result<ExpansionDelta> ExtendExpansionWithAuxClass(
     for (ClassId c : cluster) {
       if (c == aux) continue;
       for (int index :
-           analysis.cluster_compounds[analysis.partition.cluster_of[c]]) {
+           analysis.cluster_compounds[base_partition.cluster_of[c]]) {
         expected_base.insert(index);
       }
     }
     CAR_RETURN_IF_ERROR(EnumerateClusterSubsets(
-        ext_schema, ext_tables, cluster, exec, &delta.subsets_visited,
+        ext_schema, ext.tables, cluster, exec, &delta.subsets_visited,
         [&](CompoundClass compound) -> Status {
           const int base_index = base.IndexOfCompoundClass(compound);
           if (base_index >= 0) {

@@ -2,6 +2,7 @@
 #define CAR_EXPANSION_EXPANSION_DELTA_H_
 
 #include <map>
+#include <optional>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -32,13 +33,13 @@ ConstrainedEndpoints CollectConstrainedEndpoints(
     const std::map<std::tuple<RelationId, int, int>, Cardinality>& nrel);
 
 /// Precomputed analysis of a frozen base expansion that incremental
-/// probes extend: the preselection tables and cluster partition the base
-/// enumeration used, plus each base compound class grouped under its
-/// cluster. Built once per session; read-only afterwards (shareable
-/// across probe threads).
+/// probes extend: the preselection preamble the base enumeration used
+/// (tables, partition, and the propagation and completion state each
+/// probe's preamble resumes from), plus each base compound class grouped
+/// under its cluster. Built once per session; read-only afterwards
+/// (shareable across probe threads).
 struct ExpansionBaseAnalysis {
-  PairTables tables;
-  ClusterPartition partition;
+  ExpansionPreamble preamble;
   /// Per base cluster: indices of the base compound classes whose members
   /// lie in that cluster (the empty compound, index 0, belongs to none).
   std::vector<std::vector<int>> cluster_compounds;
@@ -90,18 +91,20 @@ struct ExpansionDelta {
   bool HasNewCompounds() const { return !new_compound_classes.empty(); }
 };
 
-/// Builds the reusable base analysis. Replays exactly the preselection
-/// preamble of the pruned enumeration (pair tables with the configured
-/// propagation, union-free completion, clustering), so the recorded
-/// tables/partition are the ones the base expansion was enumerated with.
-/// Requires options.strategy == kPruned (the exhaustive strategy has no
-/// cluster structure to reuse).
+/// Builds the reusable base analysis around the preselection preamble the
+/// base expansion was enumerated with: `preamble` when the caller kept
+/// the one BuildExpansion handed out, else BuildExpansionPreamble(schema,
+/// options) (a restored snapshot). Requires options.strategy == kPruned
+/// (the exhaustive strategy has no cluster structure to reuse).
 Result<ExpansionBaseAnalysis> AnalyzeBaseExpansion(
     const Schema& schema, const Expansion& base,
-    const ExpansionOptions& options);
+    const ExpansionOptions& options,
+    std::optional<ExpansionPreamble> preamble = std::nullopt);
 
 /// Extends `base` to the expansion of `ext_schema` (= base schema plus
-/// the auxiliary class `aux`, which must be its last class). Clusters
+/// the auxiliary class `aux`, which must be its last class). The
+/// extended preamble is ExtendExpansionPreamble of the analysis's one —
+/// the auxiliary class is a leaf no base class mentions. Clusters
 /// whose class list and within-cluster table rows are unchanged are
 /// reused wholesale (their compounds are already in the base); changed
 /// clusters are re-enumerated with the extended tables. Errors:

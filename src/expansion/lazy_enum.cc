@@ -2,28 +2,10 @@
 
 #include <utility>
 
-#include "analysis/union_free.h"
 #include "base/check.h"
 #include "expansion/cluster_enum.h"
 
 namespace car {
-
-ExpansionPreamble BuildExpansionPreamble(const Schema& schema,
-                                         const ExpansionOptions& options) {
-  // Same recipe as ExpansionBuilder::EnumerateCompoundClasses (and
-  // AnalyzeBaseExpansion): propagated pair tables, union-free completion
-  // when it applies, then the configured partition.
-  PairTableOptions table_options;
-  table_options.propagate = options.propagate_tables;
-  ExpansionPreamble preamble{BuildPairTables(schema, table_options), {}};
-  if (options.union_free_completion && schema.IsUnionFree()) {
-    CompleteDisjointnessUnionFree(schema, &preamble.tables);
-  }
-  preamble.partition = options.use_clusters
-                           ? ComputeClusters(schema, preamble.tables)
-                           : SingleCluster(schema);
-  return preamble;
-}
 
 LazyCompoundStream::LazyCompoundStream(const Schema& schema,
                                        const PairTables& tables,

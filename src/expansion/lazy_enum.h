@@ -5,7 +5,6 @@
 #include <set>
 #include <vector>
 
-#include "analysis/clusters.h"
 #include "analysis/pair_tables.h"
 #include "base/exec_context.h"
 #include "base/status.h"
@@ -14,21 +13,6 @@
 #include "model/schema.h"
 
 namespace car {
-
-/// The preselection preamble of the pruned enumeration — pair tables with
-/// the configured propagation (and union-free completion when it
-/// applies), plus the cluster partition. The lazy expansion engine
-/// replays exactly the recipe ExpansionBuilder uses, so every compound it
-/// materializes is a member of the eager compound set and the partial
-/// expansion stays an index-stable prefix-compatible subset of the full
-/// one.
-struct ExpansionPreamble {
-  PairTables tables;
-  ClusterPartition partition;
-};
-
-ExpansionPreamble BuildExpansionPreamble(const Schema& schema,
-                                         const ExpansionOptions& options);
 
 /// A resumable stream of the consistent compound classes containing one
 /// pinned class, in a fixed canonical order (the pruned DFS over the

@@ -1,5 +1,6 @@
 #include "math/simplex.h"
 
+#include <algorithm>
 #include <map>
 #include <utility>
 
@@ -1014,8 +1015,30 @@ Result<LpResult> SimplexSolver::ResumeMaximize(
       snapshot->var_of_col.push_back(old_num_vars + v);
     }
   }
+  // Rows holding each extended row's unit column, ascending: one sweep
+  // over the nonzeros instead of a search of every row per extension.
+  // Extensions only write the new structural columns, so the unit cells
+  // (old columns) stay put while they are applied.
+  std::vector<int> unit_slot(static_cast<size_t>(tableau.num_cols), -1);
+  std::vector<std::vector<size_t>> rows_with_unit;
   for (const SimplexDelta::RowExtension& extension : delta.row_extensions) {
     CAR_CHECK_LT(extension.constraint, old_num_rows);
+    const int unit = tableau.init_basic[extension.constraint];
+    if (unit_slot[static_cast<size_t>(unit)] >= 0) continue;
+    unit_slot[static_cast<size_t>(unit)] =
+        static_cast<int>(rows_with_unit.size());
+    rows_with_unit.emplace_back();
+  }
+  if (!rows_with_unit.empty()) {
+    for (size_t i = 0; i < tableau.rows.size(); ++i) {
+      for (const SparseRow::Entry& entry : tableau.rows[i].entries()) {
+        if (entry.col >= static_cast<int>(unit_slot.size())) break;
+        const int slot = unit_slot[static_cast<size_t>(entry.col)];
+        if (slot >= 0) rows_with_unit[static_cast<size_t>(slot)].push_back(i);
+      }
+    }
+  }
+  for (const SimplexDelta::RowExtension& extension : delta.row_extensions) {
     CAR_CHECK_GE(extension.variable, old_num_vars);
     CAR_CHECK_LT(extension.variable,
                  old_num_vars + delta.num_new_variables);
@@ -1024,9 +1047,9 @@ Result<LpResult> SimplexSolver::ResumeMaximize(
     Scalar coefficient(tableau.flipped[row] ? -extension.coefficient
                                             : extension.coefficient);
     const int unit = tableau.init_basic[row];
-    for (size_t i = 0; i < tableau.rows.size(); ++i) {
+    for (size_t i : rows_with_unit[static_cast<size_t>(
+             unit_slot[static_cast<size_t>(unit)])]) {
       const Scalar* unit_cell = tableau.rows[i].Find(unit);
-      if (unit_cell == nullptr) continue;
       // Compute before AddAt: the insertion may reallocate the entries
       // the unit-cell pointer aims into.
       Scalar increment = coefficient * *unit_cell;
@@ -1037,38 +1060,60 @@ Result<LpResult> SimplexSolver::ResumeMaximize(
   // --- Append the new constraints: slack/surplus column, elimination of
   // the current basic variables, sign normalization, then a basic column
   // (the slack if it survived with +1, else a fresh artificial). The row
-  // is accumulated densely in `accumulator` (the scratch dense pivot-row
-  // buffer of the sparse design) and compressed once at the end. The
-  // fresh slack/surplus column is zero in every existing row, so the
-  // elimination leaves its ±1 untouched.
+  // is accumulated in `accumulator` (the scratch dense pivot-row buffer
+  // of the sparse design), but only its `touched` columns are read,
+  // normalized, compressed and reset, so a row costs its own fill, not
+  // the tableau width. The fresh slack/surplus column is zero in every
+  // existing row, so the elimination leaves its ±1 untouched.
   bool added_artificial = false;
-  std::vector<Scalar> accumulator;
+  std::vector<Scalar> accumulator(width_bound);
+  std::vector<char> is_touched(width_bound, 0);
+  std::vector<int> touched;
+  auto cell = [&](int col) -> Scalar& {
+    if (is_touched[static_cast<size_t>(col)] == 0) {
+      is_touched[static_cast<size_t>(col)] = 1;
+      touched.push_back(col);
+    }
+    return accumulator[static_cast<size_t>(col)];
+  };
+  // The row of each basic column: the elimination visits only the rows
+  // whose basic column the new row has a nonzero in.
+  std::vector<int> row_of_basic(width_bound, -1);
+  for (size_t i = 0; i < tableau.basis.size(); ++i) {
+    row_of_basic[static_cast<size_t>(tableau.basis[i])] = static_cast<int>(i);
+  }
+  std::vector<size_t> pivot_rows;
   for (const LinearConstraint& constraint : delta.new_constraints) {
     int aux = -1;
     if (constraint.relation != Relation::kEqual) {
       aux = AppendColumn(&tableau, /*artificial=*/false);
       snapshot->var_of_col.push_back(-1);
     }
-    accumulator.assign(static_cast<size_t>(tableau.num_cols), Scalar());
     Scalar rhs(constraint.rhs);
     for (const auto& [variable, coefficient] : constraint.expr.terms()) {
       CAR_CHECK_GE(variable, 0);
       CAR_CHECK_LT(variable, static_cast<int>(snapshot->col_of_var.size()));
-      accumulator[snapshot->col_of_var[variable]] = Scalar(coefficient);
+      cell(snapshot->col_of_var[variable]) = Scalar(coefficient);
     }
     if (aux >= 0) {
-      accumulator[aux] = constraint.relation == Relation::kLessEqual
-                             ? Scalar(1)
-                             : Scalar(-1);
+      cell(aux) = constraint.relation == Relation::kLessEqual ? Scalar(1)
+                                                              : Scalar(-1);
     }
-    // Eliminate the basic variables (their columns carry an identity
-    // pattern, so a single sweep suffices); only each pivot row's
-    // nonzeros touch the accumulator.
-    for (size_t i = 0; i < tableau.rows.size(); ++i) {
-      Scalar factor = accumulator[tableau.basis[i]];
+    // Eliminate the basic variables. Their columns carry an identity
+    // pattern, so a row's factor is the new row's initial cell at its
+    // basic column, untouched by the other rows' eliminations; the rows
+    // are swept in ascending order, as a sweep over every row would.
+    pivot_rows.clear();
+    for (int col : touched) {
+      const int basic_row = row_of_basic[static_cast<size_t>(col)];
+      if (basic_row >= 0) pivot_rows.push_back(static_cast<size_t>(basic_row));
+    }
+    std::sort(pivot_rows.begin(), pivot_rows.end());
+    for (size_t i : pivot_rows) {
+      Scalar factor = accumulator[static_cast<size_t>(tableau.basis[i])];
       if (factor.is_zero()) continue;
       for (const SparseRow::Entry& entry : tableau.rows[i].entries()) {
-        accumulator[entry.col] -= factor * entry.value;
+        cell(entry.col) -= factor * entry.value;
       }
       rhs -= factor * tableau.rhs[i];
     }
@@ -1077,28 +1122,35 @@ Result<LpResult> SimplexSolver::ResumeMaximize(
     // then enters on its slack instead of a fresh artificial.
     const bool negate =
         rhs.is_negative() ||
-        (rhs.is_zero() && aux >= 0 && accumulator[aux] == Scalar(-1));
+        (rhs.is_zero() && aux >= 0 &&
+         accumulator[static_cast<size_t>(aux)] == Scalar(-1));
     if (negate) {
-      for (Scalar& cell : accumulator) {
-        if (!cell.is_zero()) cell = -cell;
+      for (int col : touched) {
+        Scalar& value = accumulator[static_cast<size_t>(col)];
+        if (!value.is_zero()) value = -value;
       }
       rhs = -rhs;
     }
     int basic = -1;
-    if (aux >= 0 && accumulator[aux] == Scalar(1)) {
+    if (aux >= 0 && accumulator[static_cast<size_t>(aux)] == Scalar(1)) {
       basic = aux;
     } else {
       basic = AppendColumn(&tableau, /*artificial=*/true);
       snapshot->var_of_col.push_back(-1);
-      accumulator.push_back(Scalar(1));
       added_artificial = true;
     }
+    std::sort(touched.begin(), touched.end());
     SparseRow row;
-    for (int c = 0; c < tableau.num_cols; ++c) {
-      if (!accumulator[static_cast<size_t>(c)].is_zero()) {
-        row.Append(c, std::move(accumulator[static_cast<size_t>(c)]));
-      }
+    for (int col : touched) {
+      Scalar& value = accumulator[static_cast<size_t>(col)];
+      if (!value.is_zero()) row.Append(col, std::move(value));
+      value = Scalar();
+      is_touched[static_cast<size_t>(col)] = 0;
     }
+    touched.clear();
+    if (basic != aux) row.Append(basic, Scalar(1));
+    row_of_basic[static_cast<size_t>(basic)] =
+        static_cast<int>(tableau.rows.size());
     tableau.rows.push_back(std::move(row));
     tableau.rhs.push_back(std::move(rhs));
     tableau.basis.push_back(basic);

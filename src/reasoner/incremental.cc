@@ -94,9 +94,12 @@ Status IncrementalSession::EnsureBase() {
   if (options_.lazy_expansion) {
     CAR_RETURN_IF_ERROR(RouteLazySession());
   } else {
-    CAR_ASSIGN_OR_RETURN(Expansion expansion,
-                         BuildExpansion(*schema_, options_.expansion));
-    CAR_RETURN_IF_ERROR(EnsureSolvedBaseLocked(std::move(expansion)));
+    ExpansionPreamble preamble;
+    CAR_ASSIGN_OR_RETURN(
+        Expansion expansion,
+        BuildExpansion(*schema_, options_.expansion, &preamble));
+    CAR_RETURN_IF_ERROR(
+        EnsureSolvedBaseLocked(std::move(expansion), std::move(preamble)));
   }
   // The schema is validated by this point on both branches above.
   AnalyzeForPrefilter();
@@ -147,15 +150,17 @@ Status IncrementalSession::RouteLazySession() {
   // work it charges and any trip are the same at every thread count.
   // Overflowing the bound costs only the first few compounds and is not
   // a trip: the session stays lazy and defers the base build.
-  CAR_ASSIGN_OR_RETURN(std::optional<Expansion> expansion,
-                       BuildExpansionWithinBound(*schema_, options_.expansion,
-                                                 BaseCompoundBound()));
+  ExpansionPreamble preamble;
+  CAR_ASSIGN_OR_RETURN(
+      std::optional<Expansion> expansion,
+      BuildExpansionWithinBound(*schema_, options_.expansion,
+                                BaseCompoundBound(), &preamble));
   if (!expansion.has_value() ||
       RoutesLazy(expansion->compound_classes.size() - 1)) {
     return Status::Ok();
   }
   lazy_probes_ = false;
-  return EnsureSolvedBaseLocked(std::move(*expansion));
+  return EnsureSolvedBaseLocked(std::move(*expansion), std::move(preamble));
 }
 
 Status IncrementalSession::EnsureSolvedBase() {
@@ -164,9 +169,11 @@ Status IncrementalSession::EnsureSolvedBase() {
   // first needed; exactly one pays the build.
   std::lock_guard<std::mutex> lock(base_build_mutex_);
   if (base_solved_.load(std::memory_order_acquire)) return Status::Ok();
-  CAR_ASSIGN_OR_RETURN(Expansion expansion,
-                       BuildExpansion(*schema_, options_.expansion));
-  return EnsureSolvedBaseLocked(std::move(expansion));
+  ExpansionPreamble preamble;
+  CAR_ASSIGN_OR_RETURN(
+      Expansion expansion,
+      BuildExpansion(*schema_, options_.expansion, &preamble));
+  return EnsureSolvedBaseLocked(std::move(expansion), std::move(preamble));
 }
 
 void IncrementalSession::AdoptPsiBase(IncrementalPsiBase psi_base) {
@@ -184,9 +191,10 @@ void IncrementalSession::AdoptPsiBase(IncrementalPsiBase psi_base) {
   psi_base_ = std::move(psi_base);
 }
 
-Status IncrementalSession::EnsureSolvedBaseLocked(Expansion expansion) {
-  Result<ExpansionBaseAnalysis> analysis =
-      AnalyzeBaseExpansion(*schema_, expansion, options_.expansion);
+Status IncrementalSession::EnsureSolvedBaseLocked(
+    Expansion expansion, ExpansionPreamble preamble) {
+  Result<ExpansionBaseAnalysis> analysis = AnalyzeBaseExpansion(
+      *schema_, expansion, options_.expansion, std::move(preamble));
   if (analysis.ok()) {
     CAR_ASSIGN_OR_RETURN(IncrementalPsiBase psi_base,
                          PrepareIncrementalPsi(expansion, options_.solver));

@@ -240,8 +240,10 @@ class IncrementalSession {
   void AdoptPsiBase(IncrementalPsiBase psi_base);
 
   /// Cluster analysis and Ψ snapshot over the freshly built base
-  /// expansion; caller holds base_build_mutex_ or is serial.
-  Status EnsureSolvedBaseLocked(Expansion expansion);
+  /// expansion and the preamble its enumeration used; caller holds
+  /// base_build_mutex_ or is serial.
+  Status EnsureSolvedBaseLocked(Expansion expansion,
+                                ExpansionPreamble preamble);
 
   /// The session's prober for the shared reduction: satisfiability of
   /// the probe's auxiliary class through the tiers in order —

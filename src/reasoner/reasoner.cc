@@ -281,6 +281,10 @@ Result<bool> Reasoner::ImpliesRoleTyping(RelationId relation, RoleId role,
   const RelationDefinition* definition =
       schema_->relation_definition(relation);
   CAR_CHECK(definition != nullptr);
+  if (role < 0 || role >= schema_->num_roles()) {
+    return NotFound(StrCat("role id ", role, " out of range in relation ",
+                           schema_->RelationName(relation)));
+  }
   int role_index = definition->RoleIndex(role);
   if (role_index < 0) {
     return NotFound(StrCat("role '", schema_->RoleName(role),

@@ -2,14 +2,21 @@
 
 #include <map>
 #include <set>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "base/rng.h"
+#include "base/strings.h"
 #include "expansion/expansion.h"
+#include "model/builder.h"
 #include "model/schema.h"
+#include "reasoner/implication.h"
+#include "reasoner/incremental.h"
 #include "test_schemas.h"
+#include "workloads/generators.h"
 
 namespace car {
 namespace {
@@ -262,6 +269,302 @@ TEST(ExpansionDeltaTest, RequiresPrunedStrategy) {
       AnalyzeBaseExpansion(schema, base.value(), exhaustive);
   ASSERT_FALSE(analysis.ok());
   EXPECT_EQ(analysis.status().code(), StatusCode::kFailedPrecondition);
+}
+
+// --- Extended preselection vs. the from-scratch preamble ---------------
+
+/// Every row of both tables, row by row, and the partition.
+void ExpectSameTables(const PairTables& actual, const PairTables& expected,
+                      const std::string& label) {
+  ASSERT_EQ(actual.num_classes(), expected.num_classes()) << label;
+  EXPECT_EQ(actual.num_disjoint_pairs(), expected.num_disjoint_pairs())
+      << label;
+  EXPECT_EQ(actual.num_inclusion_pairs(), expected.num_inclusion_pairs())
+      << label;
+  for (ClassId c = 0; c < expected.num_classes(); ++c) {
+    EXPECT_EQ(actual.DisjointFrom(c), expected.DisjointFrom(c))
+        << label << " disjointness row " << c;
+    EXPECT_EQ(actual.SuperclassesOf(c), expected.SuperclassesOf(c))
+        << label << " superclass row " << c;
+    EXPECT_EQ(actual.SubclassesOf(c), expected.SubclassesOf(c))
+        << label << " subclass row " << c;
+  }
+}
+
+/// Extends the base preamble by the probe's auxiliary class and checks it
+/// against BuildExpansionPreamble of the extended schema. Returns the
+/// extended preamble for further assertions.
+ExpansionPreamble ExpectExtensionMatches(const Schema& schema,
+                                         const ExpansionPreamble& base,
+                                         const AuxClassProbe& probe,
+                                         const ExpansionOptions& options,
+                                         const std::string& label) {
+  Result<AuxiliarySchema> auxiliary = BuildAuxiliarySchema(schema, probe);
+  CAR_CHECK(auxiliary.ok()) << auxiliary.status();
+  const Schema& extended = auxiliary.value().schema;
+  ExpansionPreamble incremental =
+      ExtendExpansionPreamble(base, extended, options);
+  const ExpansionPreamble reference =
+      BuildExpansionPreamble(extended, options);
+  ExpectSameTables(incremental.tables, reference.tables, label + " tables");
+  ExpectSameTables(incremental.propagated, reference.propagated,
+                   label + " propagated");
+  EXPECT_EQ(incremental.partition.cluster_of, reference.partition.cluster_of)
+      << label;
+  EXPECT_EQ(incremental.partition.clusters, reference.partition.clusters)
+      << label;
+  EXPECT_EQ(incremental.completion.has_value(),
+            reference.completion.has_value())
+      << label;
+  if (incremental.completion.has_value() &&
+      reference.completion.has_value()) {
+    EXPECT_EQ(incremental.completion->num_classes(),
+              reference.completion->num_classes())
+        << label;
+  }
+  return incremental;
+}
+
+/// Every probe the shared reduction sends for a spread of queries of
+/// every kind over `schema`: ISA with one and with two clauses (the
+/// second a two-literal clause), negated ISA literals, disjointness,
+/// min/max cardinality over direct and inverse terms, min/max
+/// participation. The recording prober answers "empty", so an ISA query
+/// probes all of its clauses.
+std::vector<AuxClassProbe> ProbesOfEveryKind(const Schema& schema) {
+  std::vector<ImplicationQuery> queries;
+  const int n = schema.num_classes();
+  for (ClassId c = 0; c < n; ++c) {
+    const ClassId d = (c + 1) % n;
+    const ClassId e = (c + 2) % n;
+    ImplicationQuery isa{.kind = ImplicationQuery::Kind::kIsa, .class_id = c};
+    isa.formula = ClassFormula::OfClass(d);
+    queries.push_back(isa);
+    isa.formula.AddClause(ClassClause({ClassLiteral{d, false},
+                                       ClassLiteral{e, true}}));
+    queries.push_back(isa);
+    isa.formula = ClassFormula::True();
+    isa.formula.AddClause(ClassClause::Of(ClassLiteral{e, true}));
+    queries.push_back(isa);
+    queries.push_back(
+        {.kind = ImplicationQuery::Kind::kDisjoint, .class_id = c,
+         .other = d});
+    for (AttributeId a = 0; a < schema.num_attributes(); ++a) {
+      for (bool inverse : {false, true}) {
+        const AttributeTerm term{a, inverse};
+        queries.push_back({.kind = ImplicationQuery::Kind::kMinCardinality,
+                           .class_id = c, .term = term, .bound = 1});
+        queries.push_back({.kind = ImplicationQuery::Kind::kMaxCardinality,
+                           .class_id = c, .term = term, .bound = 2});
+      }
+    }
+    for (RelationId r = 0; r < schema.num_relations(); ++r) {
+      for (RoleId role : schema.relation_definition(r)->roles) {
+        queries.push_back({.kind = ImplicationQuery::Kind::kMinParticipation,
+                           .class_id = c, .relation = r, .role = role,
+                           .bound = 1});
+        queries.push_back({.kind = ImplicationQuery::Kind::kMaxParticipation,
+                           .class_id = c, .relation = r, .role = role,
+                           .bound = 1});
+      }
+    }
+  }
+  std::vector<AuxClassProbe> probes;
+  for (const ImplicationQuery& query : queries) {
+    Result<bool> decided =
+        DecideImplication(schema, query, [&probes](const AuxClassProbe& p) {
+          probes.push_back(p);
+          return Result<bool>(false);
+        });
+    CAR_CHECK(decided.ok()) << decided.status();
+  }
+  return probes;
+}
+
+/// The schema plus one class with a two-literal isa clause: the same
+/// classes, no longer union-free.
+Schema WithUnion(const Schema& schema) {
+  Schema out = schema;
+  const ClassId mixed = out.InternClass("__test_union");
+  out.mutable_class_definition(mixed)->isa.AddClause(
+      ClassClause({ClassLiteral{0, false}, ClassLiteral{1, false}}));
+  CAR_CHECK(out.Validate().ok());
+  return out;
+}
+
+std::vector<std::pair<std::string, Schema>> PreambleSchemas() {
+  std::vector<std::pair<std::string, Schema>> schemas;
+  schemas.emplace_back("figure1", Figure1());
+  schemas.emplace_back("figure2", Figure2());
+  schemas.emplace_back("chain-6x2", GenerateChainSchema({6, 2}));
+  schemas.emplace_back("chain-12x3", GenerateChainSchema({12, 3}));
+  Rng rng(17);
+  schemas.emplace_back("hierarchy-15",
+                       GenerateHierarchy(&rng, HierarchyParams{15, 1, 3}));
+  schemas.emplace_back("hierarchy-18x2",
+                       GenerateHierarchy(&rng, HierarchyParams{18, 2, 3}));
+  schemas.emplace_back(
+      "clustered-3x3",
+      GenerateClusteredSchema(&rng, ClusteredParams{3, 3, 2, false}));
+  const size_t plain = schemas.size();
+  for (size_t i = 0; i < plain; ++i) {
+    schemas.emplace_back(schemas[i].first + "+union",
+                         WithUnion(schemas[i].second));
+  }
+  return schemas;
+}
+
+TEST(ExpansionDeltaTest, ExtendedPreambleMatchesFromScratchForEveryProbe) {
+  const ExpansionOptions options;
+  int union_free = 0;
+  int not_union_free = 0;
+  for (const auto& [label, schema] : PreambleSchemas()) {
+    (schema.IsUnionFree() ? union_free : not_union_free) += 1;
+    const ExpansionPreamble base = BuildExpansionPreamble(schema, options);
+    EXPECT_EQ(base.completion.has_value(), schema.IsUnionFree()) << label;
+    const std::vector<AuxClassProbe> probes = ProbesOfEveryKind(schema);
+    ASSERT_FALSE(probes.empty()) << label;
+    for (size_t i = 0; i < probes.size(); ++i) {
+      ExpectExtensionMatches(schema, base, probes[i], options,
+                             label + " probe " + std::to_string(i));
+    }
+  }
+  EXPECT_GE(union_free, 4);
+  EXPECT_GE(not_union_free, 7);
+}
+
+TEST(ExpansionDeltaTest, ExtendedPreambleMatchesUnderEveryTableOption) {
+  const Schema schema = Figure2();
+  for (bool propagate : {false, true}) {
+    for (bool completion : {false, true}) {
+      for (bool clusters : {false, true}) {
+        ExpansionOptions options;
+        options.propagate_tables = propagate;
+        options.union_free_completion = completion;
+        options.use_clusters = clusters;
+        const ExpansionPreamble base = BuildExpansionPreamble(schema, options);
+        for (const AuxClassProbe& probe : ProbesOfEveryKind(schema)) {
+          ExpectExtensionMatches(
+              schema, base, probe, options,
+              StrCat("propagate=", propagate, " completion=", completion,
+                     " clusters=", clusters));
+        }
+      }
+    }
+  }
+}
+
+/// Asserts the probe retracts a completion-made disjointness between two
+/// base classes, so the extension cannot pass by copying the base row.
+void ExpectRetracted(const Schema& schema, const AuxClassProbe& probe,
+                     ClassId a, ClassId b, const std::string& label) {
+  const ExpansionOptions options;
+  const ExpansionPreamble base = BuildExpansionPreamble(schema, options);
+  ASSERT_TRUE(base.completion.has_value()) << label;
+  ASSERT_TRUE(base.tables.AreDisjoint(a, b)) << label;
+  ASSERT_FALSE(base.propagated.AreDisjoint(a, b)) << label;
+  const ExpansionPreamble extended =
+      ExpectExtensionMatches(schema, base, probe, options, label);
+  EXPECT_FALSE(extended.tables.AreDisjoint(a, b)) << label;
+  EXPECT_NE(extended.tables.DisjointFrom(a), base.tables.DisjointFrom(a))
+      << label;
+}
+
+TEST(ExpansionDeltaTest, DisjointProbeRetractsCompletionDisjointness) {
+  // Every completion-only disjoint pair of a union-free schema: the
+  // probe's witness holds both classes, so the assumption must go.
+  int checked = 0;
+  for (const auto& [label, schema] : PreambleSchemas()) {
+    if (!schema.IsUnionFree()) continue;
+    const ExpansionPreamble base =
+        BuildExpansionPreamble(schema, ExpansionOptions{});
+    for (ClassId a = 0; a < schema.num_classes(); ++a) {
+      for (ClassId b = a + 1; b < schema.num_classes(); ++b) {
+        if (!base.tables.AreDisjoint(a, b) ||
+            base.propagated.AreDisjoint(a, b)) {
+          continue;
+        }
+        AuxClassProbe probe;
+        probe.isa = ClassFormula::OfClass(a);
+        probe.isa.AndWith(ClassFormula::OfClass(b));
+        ExpectRetracted(schema, probe, a, b,
+                        StrCat(label, " disjoint ", a, " ", b));
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GT(checked, 0);
+}
+
+TEST(ExpansionDeltaTest, MaxCardinalityProbeGrowsABaseFillerContext) {
+  // No base context makes `link` mandatory, so its filler context is
+  // empty and Target1/Target2 are completion-disjoint. A max-cardinality
+  // probe on Owner refutes with a mandatory `link` filler, which must
+  // realize both Owner's and Parent's ranges: the shared filler context
+  // grows to hold Target1 and Target2 together.
+  SchemaBuilder builder;
+  builder.DeclareClass("Target1").DeclareClass("Target2");
+  builder.BeginClass("Parent")
+      .Attribute("link", 0, SchemaBuilder::kUnbounded, {{"Target2"}})
+      .EndClass();
+  builder.BeginClass("Owner")
+      .Isa({{"Parent"}})
+      .Attribute("link", 0, SchemaBuilder::kUnbounded, {{"Target1"}})
+      .EndClass();
+  Result<Schema> built = std::move(builder).Build();
+  ASSERT_TRUE(built.ok()) << built.status();
+  const Schema& schema = built.value();
+  ASSERT_TRUE(schema.IsUnionFree());
+
+  AuxClassProbe probe;
+  probe.isa = ClassFormula::OfClass(schema.LookupClass("Owner"));
+  AttributeSpec spec;
+  spec.term = AttributeTerm::Direct(schema.LookupAttribute("link"));
+  spec.cardinality = Cardinality::AtLeast(3);
+  spec.range = ClassFormula::True();
+  probe.attributes.push_back(spec);
+  ExpectRetracted(schema, probe, schema.LookupClass("Target1"),
+                  schema.LookupClass("Target2"), "max-card link");
+
+  // The same probe also delta-extends like a from-scratch build.
+  EXPECT_TRUE(CheckDeltaMatchesFromScratch(schema, probe.isa,
+                                           probe.attributes, {}));
+}
+
+TEST(ExpansionDeltaTest, ParallelBatchSharesTheBasePreselection) {
+  // Probe workers extend one shared, read-only base preamble at once;
+  // answers must not depend on the thread count.
+  Rng rng(17);
+  const Schema schema = GenerateHierarchy(&rng, HierarchyParams{18, 2, 3});
+  ASSERT_TRUE(schema.IsUnionFree());
+  std::vector<ImplicationQuery> queries;
+  for (ClassId c = 0; c < schema.num_classes(); ++c) {
+    const ClassId d = (c + 5) % schema.num_classes();
+    queries.push_back(
+        {.kind = ImplicationQuery::Kind::kDisjoint, .class_id = c,
+         .other = d});
+    ImplicationQuery isa{.kind = ImplicationQuery::Kind::kIsa,
+                         .class_id = c};
+    isa.formula = ClassFormula::OfClass(d);
+    queries.push_back(isa);
+    queries.push_back({.kind = ImplicationQuery::Kind::kMaxCardinality,
+                       .class_id = c,
+                       .term = AttributeTerm::Direct(0),
+                       .bound = 1});
+  }
+  std::vector<std::vector<bool>> answers;
+  for (int threads : {1, 8}) {
+    ReasonerOptions options;
+    options.num_threads = threads;
+    options.prefilter = false;
+    IncrementalSession session(&schema, options);
+    Result<std::vector<bool>> batch = session.RunImplicationBatch(queries);
+    ASSERT_TRUE(batch.ok()) << batch.status();
+    answers.push_back(batch.value());
+    EXPECT_EQ(session.stats().fallbacks, 0u) << threads;
+    EXPECT_GT(session.stats().probes, 0u) << threads;
+  }
+  EXPECT_EQ(answers[0], answers[1]);
 }
 
 }  // namespace

@@ -67,6 +67,22 @@ TEST_F(Figure2ImplicationTest, RoleTypingErrors) {
                    .ok());
 }
 
+TEST_F(Figure2ImplicationTest, OutOfRangeRoleIdIsNotFound) {
+  // Role ids past the role table (and negative ones) are reported like
+  // Schema::Validate reports them, not looked up by name.
+  const RelationId exam = schema_.LookupRelation("Exam");
+  for (RoleId role : {RoleId{99}, RoleId{-1},
+                      static_cast<RoleId>(schema_.num_roles())}) {
+    Result<bool> answer = reasoner_.ImpliesRoleTyping(exam, role, Of("Person"));
+    ASSERT_FALSE(answer.ok()) << role;
+    EXPECT_EQ(answer.status().code(), StatusCode::kNotFound);
+    EXPECT_NE(answer.status().message().find(
+                  StrCat("role id ", role, " out of range")),
+              std::string::npos)
+        << answer.status();
+  }
+}
+
 TEST_F(Figure2ImplicationTest, ImpliedCardinalityBounds) {
   AttributeId taught_by = schema_.LookupAttribute("taught_by");
 
