@@ -17,22 +17,33 @@
 // beyond the eager cap — eager cannot answer at all while lazy returns
 // a conclusive UNSAT with zero fallbacks (gated in CI).
 //
+// A session cell follows (scope "session"): one lazy IncrementalSession
+// with the daemon's defaults answers a 48-query pool that stays inside
+// one cluster per query (chaff or core) on unsat-9+4, checked against
+// the from-scratch reasoner. Its probes resume the session's stored
+// seed bases; the record reports how many seeds were solved and how
+// many probes reused one (gated in CI: lazy_seed_reuses > 0).
+//
 // Usage: bench_lazy_unsat [--threads=N] [--smoke] [--out=FILE]
 //   --smoke  tiny workload for CI: two small cells plus the beyond-cap
-//            cell (cheap for the lazy engine by construction)
+//            cell (cheap for the lazy engine by construction), and the
+//            session cell
 //
 // Output: one JSON-lines record per cell in BENCH_lazy_unsat.json,
 // gated by the CI bench-smoke job (answers_identical, a conclusive lazy
 // UNSAT where eager tripped its cap, lazy_ms <= eager_ms where both
-// completed).
+// completed, seed reuse in the session cell).
 
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "base/rng.h"
 #include "bench_json.h"
+#include "reasoner/incremental.h"
 #include "reasoner/reasoner.h"
 #include "workloads/generators.h"
 
@@ -43,6 +54,51 @@ double MillisSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - start)
       .count();
+}
+
+/// `count` distinct queries that each stay inside one cluster of a
+/// dense-unsat schema — the chaff D* or the core E* — cycling through
+/// ISA, disjointness and min/max cardinality (core only). A query tying
+/// the clusters together would make the from-scratch reference enumerate
+/// their product.
+std::vector<ImplicationQuery> InClusterPool(const Schema& schema, int count,
+                                            Rng* rng) {
+  std::vector<ClassId> chaff, core;
+  for (ClassId c = 0; c < schema.num_classes(); ++c) {
+    (schema.ClassName(c)[0] == 'D' ? chaff : core).push_back(c);
+  }
+  auto pick = [rng](const std::vector<ClassId>& side) {
+    return side[rng->NextBelow(side.size())];
+  };
+  std::vector<ImplicationQuery> pool;
+  std::set<std::string> seen;
+  for (int attempt = 0;
+       static_cast<int>(pool.size()) < count && attempt < count * 50;
+       ++attempt) {
+    const int kind = attempt % 6;
+    const std::vector<ClassId>& side = kind % 2 == 0 ? chaff : core;
+    ImplicationQuery query;
+    if (kind < 2) {
+      query.kind = ImplicationQuery::Kind::kIsa;
+      query.class_id = pick(side);
+      query.formula = ClassFormula::OfClass(pick(side));
+    } else if (kind < 4) {
+      query.kind = ImplicationQuery::Kind::kDisjoint;
+      query.class_id = pick(side);
+      query.other = pick(side);
+    } else {
+      query.kind = kind == 4 ? ImplicationQuery::Kind::kMinCardinality
+                             : ImplicationQuery::Kind::kMaxCardinality;
+      query.class_id = pick(core);
+      query.term = AttributeTerm::Direct(static_cast<AttributeId>(
+          rng->NextBelow(schema.num_attributes())));
+      query.bound = 1 + rng->NextBelow(3);
+    }
+    if (seen.insert(IncrementalSession::CanonicalQueryKey(query)).second) {
+      pool.push_back(std::move(query));
+    }
+  }
+  return pool;
 }
 
 int Main(int argc, char** argv) {
@@ -182,6 +238,7 @@ int Main(int argc, char** argv) {
 
     bench::JsonRecord record;
     record.Add("bench", "lazy_unsat")
+        .Add("scope", "check")
         .Add("schema", cell.name)
         .Add("num_classes", static_cast<int>(schema.num_classes()))
         .Add("threads", num_threads)
@@ -203,6 +260,67 @@ int Main(int argc, char** argv) {
         .Add("fallbacks", fallbacks);
     out.Write(record);
   }
+  // Session cell: seed reuse across the probes of one lazy session.
+  {
+    const DenseUnsatParams params{9, 4, 2};
+    Schema schema = GenerateDenseUnsatSchema(params);
+    Rng rng(16);
+    std::vector<ImplicationQuery> pool = InClusterPool(schema, 48, &rng);
+    ReasonerOptions reference_options;
+    reference_options.num_threads = num_threads;
+    Reasoner reference(&schema, reference_options);
+    auto reference_start = std::chrono::steady_clock::now();
+    auto expected = reference.RunImplicationBatch(pool);
+    const double reference_ms = MillisSince(reference_start);
+    if (!expected.ok()) {
+      std::fprintf(stderr, "from-scratch session pool: %s\n",
+                   expected.status().ToString().c_str());
+      return 1;
+    }
+    // The daemon's defaults: lazy expansion with the prefilter tiers.
+    ReasonerOptions session_options;
+    session_options.num_threads = num_threads;
+    session_options.lazy_expansion = true;
+    IncrementalSession session(&schema, session_options);
+    auto session_start = std::chrono::steady_clock::now();
+    auto answers = session.RunImplicationBatch(pool);
+    const double session_ms = MillisSince(session_start);
+    if (!answers.ok()) {
+      std::fprintf(stderr, "session pool: %s\n",
+                   answers.status().ToString().c_str());
+      return 1;
+    }
+    const bool identical = answers.value() == expected.value();
+    all_identical = all_identical && identical;
+    const IncrementalStats stats = session.stats();
+    std::printf("\nsession unsat-9+4, %zu queries: from-scratch %.2f ms, "
+                "session %.2f ms, %llu probes, %llu lazy hits, seed solves "
+                "%llu, seed reuses %llu%s\n",
+                pool.size(), reference_ms, session_ms,
+                static_cast<unsigned long long>(stats.probes),
+                static_cast<unsigned long long>(stats.lazy_hits),
+                static_cast<unsigned long long>(stats.lazy_seed_solves),
+                static_cast<unsigned long long>(stats.lazy_seed_reuses),
+                identical ? "" : "  ANSWERS DIFFER (bug!)");
+    bench::JsonRecord record;
+    record.Add("bench", "lazy_unsat")
+        .Add("scope", "session")
+        .Add("schema", "unsat-9+4")
+        .Add("num_classes", static_cast<int>(schema.num_classes()))
+        .Add("threads", num_threads)
+        .Add("smoke", smoke)
+        .Add("queries", static_cast<uint64_t>(pool.size()))
+        .Add("from_scratch_ms", reference_ms)
+        .Add("session_ms", session_ms)
+        .Add("answers_identical", identical)
+        .Add("probes", stats.probes)
+        .Add("lazy_hits", stats.lazy_hits)
+        .Add("lazy_seed_solves", stats.lazy_seed_solves)
+        .Add("lazy_seed_reuses", stats.lazy_seed_reuses)
+        .Add("fallbacks", stats.fallbacks);
+    out.Write(record);
+  }
+
   if (!all_identical) {
     std::fprintf(stderr, "FAIL: lazy answers differ from eager\n");
     return 1;

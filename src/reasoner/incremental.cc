@@ -29,7 +29,7 @@ void MaxRelaxed(std::atomic<uint64_t>* counter, uint64_t value) {
 
 IncrementalSession::IncrementalSession(const Schema* schema,
                                        ReasonerOptions options)
-    : schema_(schema), options_(std::move(options)) {
+    : schema_(schema), options_(std::move(options)), lazy_seeds_(schema) {
   CAR_CHECK(schema != nullptr);
   PropagateStageOptions(&options_);
 }
@@ -116,6 +116,7 @@ void IncrementalSession::ResetBase() {
   analysis_.reset();
   psi_base_.reset();
   schema_analysis_.reset();
+  lazy_seeds_.Clear();
   lazy_probes_ = false;
 }
 
@@ -251,7 +252,8 @@ Result<bool> IncrementalSession::AuxSatisfiable(const AuxClassProbe& probe) {
     CAR_ASSIGN_OR_RETURN(
         LazyOutcome lazy,
         RunLazyExpansion(extended, {aux}, /*analysis=*/nullptr,
-                         options_.expansion, options_.solver, options_.lazy));
+                         options_.expansion, options_.solver, options_.lazy,
+                         &lazy_seeds_));
     lazy_refinement_rounds_.fetch_add(lazy.refinement_rounds,
                                       std::memory_order_relaxed);
     lazy_compounds_materialized_.fetch_add(lazy.compounds_materialized,
@@ -260,6 +262,8 @@ Result<bool> IncrementalSession::AuxSatisfiable(const AuxClassProbe& probe) {
                                          std::memory_order_relaxed);
     lazy_certificate_closures_.fetch_add(lazy.certificate_closures,
                                          std::memory_order_relaxed);
+    lazy_seed_solves_.fetch_add(lazy.seed_solves, std::memory_order_relaxed);
+    lazy_seed_reuses_.fetch_add(lazy.seed_reuses, std::memory_order_relaxed);
     if (lazy.spurious_witness) {
       spurious_witnesses_.fetch_add(1, std::memory_order_relaxed);
     }
@@ -446,6 +450,10 @@ uint64_t IncrementalSession::EstimatedMemoryBytes() const {
   if (psi_base_.has_value()) {
     bytes += psi_base_->base_tableau_nonzeros * kPerTableauNonzero;
   }
+  const LazySeedStore::Footprint seeds = lazy_seeds_.footprint();
+  bytes += seeds.compound_classes * kPerCompoundClass;
+  bytes += seeds.compound_edges * kPerCompoundEdge;
+  bytes += seeds.tableau_nonzeros * kPerTableauNonzero;
   for (const auto& [key, answer] : memo_) {
     (void)answer;
     bytes += key.size() + kPerMemoEntry;
@@ -591,6 +599,8 @@ IncrementalStats IncrementalSession::stats() const {
       lazy_blocking_constraints_.load(std::memory_order_relaxed);
   stats.lazy_certificate_closures =
       lazy_certificate_closures_.load(std::memory_order_relaxed);
+  stats.lazy_seed_solves = lazy_seed_solves_.load(std::memory_order_relaxed);
+  stats.lazy_seed_reuses = lazy_seed_reuses_.load(std::memory_order_relaxed);
   stats.spurious_witnesses =
       spurious_witnesses_.load(std::memory_order_relaxed);
   stats.clusters_reused = clusters_reused_.load(std::memory_order_relaxed);

@@ -11,6 +11,7 @@
 
 #include "analysis/analyzer.h"
 #include "expansion/expansion_delta.h"
+#include "reasoner/lazy_engine.h"
 #include "reasoner/reasoner.h"
 #include "solver/incremental_psi.h"
 
@@ -70,6 +71,13 @@ struct IncrementalStats {
   /// the same reason as the other lazy sums.
   uint64_t lazy_blocking_constraints = 0;
   uint64_t lazy_certificate_closures = 0;
+  /// Seed reuse across lazy probes: Ψ solves of a seed's base-only part
+  /// (once per distinct constrained compound set since the last schema
+  /// change), and probes that resumed such a solve instead of paying
+  /// their own. Deterministic: each set is solved once under the store's
+  /// lock, so both sums depend only on which probes ran.
+  uint64_t lazy_seed_solves = 0;
+  uint64_t lazy_seed_reuses = 0;
   /// Lazy candidate solutions rejected by the full-semantics witness
   /// checker (each one forced that probe down the eager path).
   uint64_t spurious_witnesses = 0;
@@ -142,10 +150,10 @@ class IncrementalSession {
   void set_exec(ExecContext* exec);
 
   /// Deterministic order-of-magnitude estimate of the resident bytes of
-  /// the warm state (base expansion, Ψ snapshot, memo, analysis). Used to
-  /// rank sessions for memory-budget eviction, where only the relative
-  /// costs matter; identical for every thread count (all inputs are
-  /// schedule-independent counts and maxima).
+  /// the warm state (base expansion, Ψ snapshot, stored lazy seeds, memo,
+  /// analysis). Used to rank sessions for memory-budget eviction, where
+  /// only the relative costs matter; identical for every thread count
+  /// (all inputs are schedule-independent counts and maxima).
   uint64_t EstimatedMemoryBytes() const;
 
   // --- Persistence (src/persist) -----------------------------------------
@@ -277,6 +285,9 @@ class IncrementalSession {
   /// Static analysis of the base schema backing the prefilter tiers
   /// (options.prefilter); rebuilt with the base on fingerprint change.
   std::optional<SchemaAnalysis> schema_analysis_;
+  /// Solved base-only seeds of the lazy probes, over *schema_; cleared
+  /// with the base on fingerprint change.
+  LazySeedStore lazy_seeds_;
 
   /// Canonical query key -> answer. Only successful answers are
   /// memoized — errors and governor trips are always recomputed.
@@ -298,6 +309,8 @@ class IncrementalSession {
   std::atomic<uint64_t> lazy_compounds_materialized_{0};
   std::atomic<uint64_t> lazy_blocking_constraints_{0};
   std::atomic<uint64_t> lazy_certificate_closures_{0};
+  std::atomic<uint64_t> lazy_seed_solves_{0};
+  std::atomic<uint64_t> lazy_seed_reuses_{0};
   std::atomic<uint64_t> spurious_witnesses_{0};
   std::atomic<uint64_t> cluster_local_{0};
   std::atomic<uint64_t> probes_{0};

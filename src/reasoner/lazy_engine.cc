@@ -5,7 +5,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <tuple>
 #include <utility>
 
@@ -154,11 +153,63 @@ InfeasibilityCertificate ReseatCertificate(const Expansion& partial,
 
 }  // namespace
 
+Result<const LazySeedBase*> LazySeedStore::Acquire(
+    const std::vector<CompoundClass>& compounds,
+    const ExpansionOptions& expansion_options,
+    const PsiSolverOptions& solver_options, LazySeedBase* local,
+    bool* solved) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  *solved = false;
+  auto it = entries_.find(compounds);
+  if (it != entries_.end()) return &it->second;
+  LazySeedBase entry;
+  CAR_ASSIGN_OR_RETURN(entry.seed, AssembleExpansion(*base_, compounds,
+                                                     expansion_options));
+  entry.endpoints = CollectConstrainedEndpoints(entry.seed.natt,
+                                                entry.seed.nrel);
+  if (entry.seed.natt.empty() && entry.seed.nrel.empty()) {
+    *local = std::move(entry);
+    return local;
+  }
+  CAR_ASSIGN_OR_RETURN(IncrementalPsiBase psi,
+                       PrepareIncrementalPsi(entry.seed, solver_options));
+  // Runs resume from the snapshot through the variable maps only.
+  psi.psi.system = LinearSystem();
+  entry.psi = std::move(psi);
+  *solved = true;
+  return &entries_.emplace(compounds, std::move(entry)).first->second;
+}
+
+void LazySeedStore::Clear() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  entries_.clear();
+}
+
+std::vector<const LazySeedBase*> LazySeedStore::Entries() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::vector<const LazySeedBase*> entries;
+  entries.reserve(entries_.size());
+  for (const auto& [key, entry] : entries_) entries.push_back(&entry);
+  return entries;
+}
+
+LazySeedStore::Footprint LazySeedStore::footprint() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  Footprint footprint;
+  for (const auto& [key, entry] : entries_) {
+    footprint.compound_classes += entry.seed.compound_classes.size();
+    footprint.compound_edges += entry.seed.compound_attributes.size() +
+                                entry.seed.compound_relations.size();
+    footprint.tableau_nonzeros += entry.psi->base_tableau_nonzeros;
+  }
+  return footprint;
+}
+
 Result<LazyOutcome> RunLazyExpansion(
     const Schema& schema, const std::vector<ClassId>& targets,
     const SchemaAnalysis* analysis, const ExpansionOptions& expansion_options,
     const PsiSolverOptions& solver_options,
-    const LazyExpansionOptions& lazy_options) {
+    const LazyExpansionOptions& lazy_options, LazySeedStore* seeds) {
   // Mirror the eager path's first failure mode (BuildExpansion validates
   // too) so routing through the lazy engine never changes error statuses.
   CAR_RETURN_IF_ERROR(schema.Validate());
@@ -242,21 +293,33 @@ Result<LazyOutcome> RunLazyExpansion(
     return out;
   }
 
-  CAR_ASSIGN_OR_RETURN(
-      Expansion seed,
-      AssembleExpansion(schema, ledger.Compounds(), expansion_options));
-  const size_t num_seed_cc = seed.compound_classes.size();
-  const ConstrainedEndpoints seed_endpoints =
-      CollectConstrainedEndpoints(seed.natt, seed.nrel);
-  std::set<std::vector<ClassId>> seed_members;
-  for (const CompoundClass& compound : seed.compound_classes) {
-    seed_members.insert(compound.members());
+  // The frozen base is the seed's base-only part: compounds holding no
+  // class past the store's base schema, shared by every probe that
+  // seeds the same set (DESIGN.md §5i). The auxiliary compounds join
+  // the delta, so the first round already resumes the stored snapshot.
+  // A constrained set is assembled and solved once, by whichever run
+  // asks first; an unconstrained one stays the run's own (LazySeedStore).
+  const int num_base_classes = seeds->base_schema().num_classes();
+  CAR_CHECK(num_base_classes <= num_classes);
+  std::vector<CompoundClass> base_only;
+  for (CompoundClass& compound : ledger.Compounds()) {
+    if (compound.members().back() < num_base_classes) {
+      base_only.push_back(std::move(compound));
+    }
   }
-
-  // The warm-start base: built on first contact with a constrained
-  // compound; rounds of an all-unconstrained run (dense tautology
-  // clusters) never pay an LP at all.
-  std::optional<IncrementalPsiBase> psi_base;
+  LazySeedBase own_seed;
+  bool seed_solved = false;
+  CAR_ASSIGN_OR_RETURN(const LazySeedBase* seed_base,
+                       seeds->Acquire(base_only, expansion_options,
+                                      solver_options, &own_seed,
+                                      &seed_solved));
+  const size_t num_seed_cc = seed_base->seed.compound_classes.size();
+  if (seed_solved) {
+    ++out.seed_solves;
+    ++out.lp_solves;
+  } else if (seed_base->psi.has_value()) {
+    ++out.seed_reuses;
+  }
 
   // UNSAT-side state: one learned blocking constraint per probed target,
   // and the predicate the closure checker (and probe gating) runs on —
@@ -279,32 +342,33 @@ Result<LazyOutcome> RunLazyExpansion(
     // Cumulative refinement delta against the frozen seed.
     ExpansionDelta delta;
     for (const CompoundClass& compound : ledger.Compounds()) {
-      if (seed_members.count(compound.members()) == 0) {
+      if (!std::binary_search(base_only.begin(), base_only.end(), compound)) {
         delta.new_compound_classes.push_back(compound);
       }
     }
     if (delta.HasNewCompounds()) {
-      CAR_RETURN_IF_ERROR(PopulateDeltaExtensions(
-          schema, seed, seed_endpoints, expansion_options, &delta));
+      CAR_RETURN_IF_ERROR(PopulateDeltaExtensions(schema, seed_base->seed,
+                                                  seed_base->endpoints,
+                                                  expansion_options, &delta));
     }
 
     std::vector<const CompoundClass*> global_cc;
     global_cc.reserve(num_seed_cc + delta.new_compound_classes.size());
-    for (const CompoundClass& c : seed.compound_classes) {
+    for (const CompoundClass& c : seed_base->seed.compound_classes) {
       global_cc.push_back(&c);
     }
     for (const CompoundClass& c : delta.new_compound_classes) {
       global_cc.push_back(&c);
     }
     std::vector<const CompoundAttribute*> global_ca;
-    for (const CompoundAttribute& a : seed.compound_attributes) {
+    for (const CompoundAttribute& a : seed_base->seed.compound_attributes) {
       global_ca.push_back(&a);
     }
     for (const CompoundAttribute& a : delta.new_compound_attributes) {
       global_ca.push_back(&a);
     }
     std::vector<const CompoundRelation*> global_cr;
-    for (const CompoundRelation& r : seed.compound_relations) {
+    for (const CompoundRelation& r : seed_base->seed.compound_relations) {
       global_cr.push_back(&r);
     }
     for (const CompoundRelation& r : delta.new_compound_relations) {
@@ -312,7 +376,8 @@ Result<LazyOutcome> RunLazyExpansion(
     }
 
     PartialPsiResult partial;
-    const bool any_constrained = !seed.natt.empty() || !seed.nrel.empty() ||
+    const bool any_constrained = !seed_base->seed.natt.empty() ||
+                                 !seed_base->seed.nrel.empty() ||
                                  !delta.new_natt.empty() ||
                                  !delta.new_nrel.empty();
     if (!any_constrained) {
@@ -324,13 +389,18 @@ Result<LazyOutcome> RunLazyExpansion(
       partial.cr_active.assign(global_cr.size(), true);
       partial.cr_value.assign(global_cr.size(), Rational());
     } else {
-      if (!psi_base.has_value()) {
-        CAR_ASSIGN_OR_RETURN(psi_base,
-                             PrepareIncrementalPsi(seed, solver_options));
+      if (!seed_base->psi.has_value()) {
+        // An unconstrained seed, the run's own: its solve is not shared
+        // (whether a run needs it depends on the run's delta).
+        CAR_ASSIGN_OR_RETURN(own_seed.psi,
+                             PrepareIncrementalPsi(own_seed.seed,
+                                                   solver_options));
+        ++out.seed_solves;
         ++out.lp_solves;
       }
-      CAR_ASSIGN_OR_RETURN(
-          partial, SolvePsiOverDelta(seed, *psi_base, delta, solver_options));
+      CAR_ASSIGN_OR_RETURN(partial,
+                           SolvePsiOverDelta(seed_base->seed, *seed_base->psi,
+                                             delta, solver_options));
       out.lp_solves += partial.lp_solves;
       out.fixpoint_rounds += partial.fixpoint_rounds;
     }

@@ -120,10 +120,11 @@ Result<bool> Reasoner::IsClassSatisfiable(ClassId class_id) {
     return NotFound(StrCat("class id ", class_id, " out of range"));
   }
   if (options_.lazy_expansion) {
+    LazySeedStore seeds(schema_);
     CAR_ASSIGN_OR_RETURN(
         LazyOutcome lazy,
         RunLazyExpansion(*schema_, {class_id}, nullptr, options_.expansion,
-                         options_.solver, options_.lazy));
+                         options_.solver, options_.lazy, &seeds));
     if (lazy.conclusive) return static_cast<bool>(lazy.class_satisfiable[class_id]);
     // Inconclusive: fall through to the eager path.
   }
@@ -168,9 +169,10 @@ Result<SatReport> Reasoner::CheckSchema() {
   if (options_.lazy_expansion) {
     std::vector<ClassId> targets(schema_->num_classes());
     for (ClassId c = 0; c < schema_->num_classes(); ++c) targets[c] = c;
+    LazySeedStore seeds(schema_);
     Result<LazyOutcome> lazy =
         RunLazyExpansion(*schema_, targets, nullptr, options_.expansion,
-                         options_.solver, options_.lazy);
+                         options_.solver, options_.lazy, &seeds);
     if (!lazy.ok()) return degrade(lazy.status());
     if (lazy->conclusive) {
       SatReport report = decided(lazy->class_satisfiable);
@@ -203,10 +205,12 @@ Result<bool> Reasoner::AuxiliaryClassSatisfiable(const AuxClassProbe& probe) {
   CAR_ASSIGN_OR_RETURN(AuxiliarySchema extended,
                        BuildAuxiliarySchema(*schema_, probe));
   if (options_.lazy_expansion) {
+    LazySeedStore seeds(&extended.schema);
     CAR_ASSIGN_OR_RETURN(
         LazyOutcome lazy,
         RunLazyExpansion(extended.schema, {extended.aux}, nullptr,
-                         options_.expansion, options_.solver, options_.lazy));
+                         options_.expansion, options_.solver, options_.lazy,
+                         &seeds));
     if (lazy.conclusive) {
       return static_cast<bool>(lazy.class_satisfiable[extended.aux]);
     }

@@ -672,5 +672,135 @@ TEST(IncrementalEquivalenceTest, RoutedBaseBuildIsGovernedLikeEagerBuild) {
   EXPECT_TRUE(saw_completion);
 }
 
+/// Dense schemas whose lazy probes share seeds, with a mixed query batch
+/// of every kind.
+std::vector<std::pair<std::string, Schema>> DenseSeedSchemas() {
+  std::vector<std::pair<std::string, Schema>> schemas;
+  schemas.emplace_back("dense-blowup", DenseBlowup(4, 3));
+  DenseUnsatParams params;
+  params.chaff_classes = 4;
+  params.core_classes = 3;
+  schemas.emplace_back("dense-unsat", GenerateDenseUnsatSchema(params));
+  return schemas;
+}
+
+TEST(IncrementalEquivalenceTest, LazySeedSolvesAreSharedAcrossThreads) {
+  // Lazy probes resume stored seed bases: answers stay those of the
+  // from-scratch reasoner, and each distinct seed is solved once however
+  // the probes are scheduled.
+  for (const auto& [label, schema] : DenseSeedSchemas()) {
+    Rng query_rng(808);
+    std::vector<ImplicationQuery> queries = MakeBatch(schema, &query_rng, 32);
+    Reasoner reference(&schema, ReasonerOptions{});
+    auto expected = reference.RunImplicationBatch(queries);
+    ASSERT_TRUE(expected.ok()) << label << ": " << expected.status();
+
+    uint64_t solves_at_one_thread = 0;
+    uint64_t reuses_at_one_thread = 0;
+    for (int threads : kThreadCounts) {
+      ReasonerOptions options = LazyOptions(threads);
+      options.prefilter = false;
+      IncrementalSession session(&schema, options);
+      auto answers = session.RunImplicationBatch(queries);
+      ASSERT_TRUE(answers.ok())
+          << label << " threads=" << threads << ": " << answers.status();
+      EXPECT_EQ(expected.value(), answers.value())
+          << label << " threads=" << threads;
+      IncrementalStats stats = session.stats();
+      EXPECT_EQ(stats.spurious_witnesses, 0u)
+          << label << " threads=" << threads;
+      EXPECT_GT(stats.lazy_seed_solves, 0u)
+          << label << " threads=" << threads;
+      EXPECT_GT(stats.lazy_seed_reuses, 0u)
+          << label << " threads=" << threads;
+      if (threads == 1) {
+        solves_at_one_thread = stats.lazy_seed_solves;
+        reuses_at_one_thread = stats.lazy_seed_reuses;
+      } else {
+        EXPECT_EQ(stats.lazy_seed_solves, solves_at_one_thread)
+            << label << " threads=" << threads;
+        EXPECT_EQ(stats.lazy_seed_reuses, reuses_at_one_thread)
+            << label << " threads=" << threads;
+      }
+    }
+  }
+}
+
+TEST(IncrementalEquivalenceTest, SchemaMutationSolvesLazySeedsAgain) {
+  DenseUnsatParams params;
+  params.chaff_classes = 4;
+  params.core_classes = 3;
+  Schema schema = GenerateDenseUnsatSchema(params);
+  Rng query_rng(909);
+  std::vector<ImplicationQuery> queries = MakeBatch(schema, &query_rng, 32);
+  ReasonerOptions options = LazyOptions(1);
+  options.prefilter = false;
+  IncrementalSession session(&schema, options);
+  auto first = session.RunImplicationBatch(queries);
+  ASSERT_TRUE(first.ok()) << first.status();
+  const uint64_t solves_before = session.stats().lazy_seed_solves;
+  ASSERT_GT(solves_before, 0u);
+
+  // Loosen E0's forward bound: the same classes, another schema, so
+  // every stored seed is stale.
+  ClassDefinition* head =
+      schema.mutable_class_definition(schema.LookupClass("E0"));
+  ASSERT_FALSE(head->attributes.empty());
+  head->attributes[0].cardinality = Cardinality(1, 3);
+  auto second = session.RunImplicationBatch(queries);
+  ASSERT_TRUE(second.ok()) << second.status();
+  Reasoner reference(&schema, ReasonerOptions{});
+  auto expected = reference.RunImplicationBatch(queries);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  EXPECT_EQ(expected.value(), second.value());
+  EXPECT_GT(session.stats().lazy_seed_solves, solves_before);
+}
+
+TEST(IncrementalEquivalenceTest, MemoryEstimateCountsStoredLazySeeds) {
+  DenseUnsatParams params;
+  params.chaff_classes = 6;
+  params.core_classes = 3;
+  Schema schema = GenerateDenseUnsatSchema(params);
+  const ClassId e1 = schema.LookupClass("E1");
+  // Two queries with the same auxiliary class, E1 ∧ E1: the first solves
+  // its seed, the second only resumes it.
+  ImplicationQuery solves_seed;
+  solves_seed.kind = ImplicationQuery::Kind::kIsa;
+  solves_seed.class_id = e1;
+  solves_seed.formula = ClassFormula::OfNegatedClass(e1);
+  ImplicationQuery reuses_seed;
+  reuses_seed.kind = ImplicationQuery::Kind::kDisjoint;
+  reuses_seed.class_id = e1;
+  reuses_seed.other = e1;
+
+  ReasonerOptions options = LazyOptions(1);
+  options.prefilter = false;
+  IncrementalSession session(&schema, options);
+  ASSERT_TRUE(session.RunImplicationBatch({}).ok());
+  const uint64_t cold = session.EstimatedMemoryBytes();
+
+  ASSERT_TRUE(session.RunImplicationBatch({solves_seed}).ok());
+  ASSERT_EQ(session.stats().lazy_seed_solves, 1u);
+  const uint64_t solved = session.EstimatedMemoryBytes();
+  ASSERT_TRUE(session.RunImplicationBatch({reuses_seed}).ok());
+  ASSERT_EQ(session.stats().lazy_seed_solves, 1u);
+  ASSERT_EQ(session.stats().lazy_seed_reuses, 1u);
+  const uint64_t reused = session.EstimatedMemoryBytes();
+  // Each batch adds one memo entry; net of its key, only the first batch
+  // adds more: the stored seed.
+  const uint64_t first_key =
+      IncrementalSession::CanonicalQueryKey(solves_seed).size();
+  const uint64_t second_key =
+      IncrementalSession::CanonicalQueryKey(reuses_seed).size();
+  EXPECT_GT(solved - cold - first_key, reused - solved - second_key);
+
+  // A mutation drops the memo and the stored seeds with the base.
+  ClassDefinition* head =
+      schema.mutable_class_definition(schema.LookupClass("E0"));
+  head->attributes[0].cardinality = Cardinality(1, 3);
+  ASSERT_TRUE(session.RunImplicationBatch({}).ok());
+  EXPECT_EQ(session.EstimatedMemoryBytes(), cold);
+}
+
 }  // namespace
 }  // namespace car

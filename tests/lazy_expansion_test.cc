@@ -188,8 +188,10 @@ TEST(LazyExpansionTest, DenseBlowupExampleFileStillLazySat) {
       ->attributes.clear();
   ASSERT_TRUE(schema.Validate().ok());
 
-  auto outcome = RunLazyExpansion(schema, {0}, nullptr, ExpansionOptions{},
-                                  PsiSolverOptions{}, LazyExpansionOptions{});
+  LazySeedStore seeds(&schema);
+  auto outcome =
+      RunLazyExpansion(schema, {0}, nullptr, ExpansionOptions{},
+                       PsiSolverOptions{}, LazyExpansionOptions{}, &seeds);
   ASSERT_TRUE(outcome.ok()) << outcome.status();
   EXPECT_TRUE(outcome->conclusive);
   EXPECT_TRUE(outcome->class_satisfiable[0]);
@@ -232,8 +234,9 @@ TEST(LazyExpansionTest, RefinementLoopRunsMultipleRounds) {
   LazyExpansionOptions lazy_options;
   lazy_options.batch_per_class = 1;
   lazy_options.max_rounds = 16;
+  LazySeedStore seeds(&schema);
   auto outcome = RunLazyExpansion(schema, {t}, nullptr, ExpansionOptions{},
-                                  PsiSolverOptions{}, lazy_options);
+                                  PsiSolverOptions{}, lazy_options, &seeds);
   ASSERT_TRUE(outcome.ok()) << outcome.status();
   ASSERT_TRUE(outcome->conclusive);
   EXPECT_TRUE(outcome->class_satisfiable[t]);

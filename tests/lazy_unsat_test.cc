@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "base/exec_context.h"
@@ -18,11 +20,13 @@
 #include "math/linear.h"
 #include "math/simplex.h"
 #include "model/schema.h"
+#include "reasoner/implication.h"
 #include "reasoner/incremental.h"
 #include "reasoner/lazy_engine.h"
 #include "reasoner/reasoner.h"
 #include "solver/incremental_psi.h"
 #include "solver/solve.h"
+#include "test_schemas.h"
 #include "workloads/generators.h"
 
 namespace car {
@@ -493,6 +497,330 @@ TEST(DenseUnsatTest, FaultInjectionSweepDegradesToUnknown) {
           << "inject=" << inject;
     }
   }
+}
+
+// --- Stored seed bases ------------------------------------------------------
+
+/// Queries of every probe kind about `subject`: ISA with one clause, two
+/// clauses and negated literals, disjointness, min/max cardinality on
+/// every attribute both ways, and min/max participation on every role.
+std::vector<ImplicationQuery> EveryProbeKind(const Schema& schema,
+                                             ClassId subject) {
+  const ClassId other = (subject + 1) % schema.num_classes();
+  const ClassId third = (subject + 2) % schema.num_classes();
+  std::vector<ImplicationQuery> queries;
+  ImplicationQuery isa;
+  isa.kind = ImplicationQuery::Kind::kIsa;
+  isa.class_id = subject;
+  isa.formula = ClassFormula::OfClass(other);
+  queries.push_back(isa);
+  isa.formula = ClassFormula({ClassClause::Of(ClassLiteral::Positive(other)),
+                              ClassClause::Of(ClassLiteral::Positive(third))});
+  queries.push_back(isa);
+  ClassClause negated;
+  negated.AddLiteral(ClassLiteral::Negative(other));
+  negated.AddLiteral(ClassLiteral::Negative(third));
+  isa.formula = ClassFormula({negated});
+  queries.push_back(isa);
+  ImplicationQuery disjoint;
+  disjoint.kind = ImplicationQuery::Kind::kDisjoint;
+  disjoint.class_id = subject;
+  disjoint.other = other;
+  queries.push_back(disjoint);
+  for (AttributeId a = 0; a < schema.num_attributes(); ++a) {
+    for (bool inverse : {false, true}) {
+      for (auto kind : {ImplicationQuery::Kind::kMinCardinality,
+                        ImplicationQuery::Kind::kMaxCardinality}) {
+        ImplicationQuery query;
+        query.kind = kind;
+        query.class_id = subject;
+        query.term = inverse ? AttributeTerm::Inverse(a)
+                             : AttributeTerm::Direct(a);
+        query.bound = 1;
+        queries.push_back(query);
+      }
+    }
+  }
+  for (RelationId r = 0; r < schema.num_relations(); ++r) {
+    for (RoleId role : schema.relation_definition(r)->roles) {
+      for (auto kind : {ImplicationQuery::Kind::kMinParticipation,
+                        ImplicationQuery::Kind::kMaxParticipation}) {
+        ImplicationQuery query;
+        query.kind = kind;
+        query.class_id = subject;
+        query.relation = r;
+        query.role = role;
+        query.bound = 1;
+        queries.push_back(query);
+      }
+    }
+  }
+  return queries;
+}
+
+/// Expects a stored seed to be exactly what a from-scratch assembly of
+/// its compounds over `extended` (the base schema plus the auxiliary
+/// class `aux`) gives: compounds, compound attributes and relations,
+/// Natt/Nrel, and the Ψ base's constrained mask and support variables.
+void ExpectSeedMatchesAssembly(const LazySeedBase& entry,
+                               const Schema& extended, ClassId aux,
+                               const std::string& label) {
+  std::vector<CompoundClass> compounds(
+      entry.seed.compound_classes.begin() + 1,
+      entry.seed.compound_classes.end());
+  for (const CompoundClass& compound : compounds) {
+    EXPECT_FALSE(compound.Contains(aux)) << label;
+  }
+  auto assembled = AssembleExpansion(extended, compounds);
+  ASSERT_TRUE(assembled.ok()) << label << ": " << assembled.status();
+  EXPECT_EQ(entry.seed.compound_classes, assembled->compound_classes)
+      << label;
+  EXPECT_TRUE(entry.seed.compound_attributes ==
+              assembled->compound_attributes)
+      << label;
+  EXPECT_TRUE(entry.seed.compound_relations == assembled->compound_relations)
+      << label;
+  EXPECT_TRUE(entry.seed.natt == assembled->natt) << label;
+  EXPECT_TRUE(entry.seed.nrel == assembled->nrel) << label;
+
+  auto expected_psi =
+      BuildIncrementalPsiBaseStructure(*assembled, PsiSolverOptions{});
+  ASSERT_TRUE(expected_psi.ok()) << label << ": " << expected_psi.status();
+  ASSERT_TRUE(entry.psi.has_value()) << label;
+  EXPECT_EQ(entry.psi->cc_constrained, expected_psi->cc_constrained)
+      << label;
+  EXPECT_EQ(entry.psi->t_var, expected_psi->t_var) << label;
+}
+
+TEST(LazySeedStoreTest, StoredSeedsEqualAssemblyInEveryProbeSchema) {
+  // An implication probe adds one fresh class, so a seed's base-only
+  // compounds must assemble identically in every probe's schema: each
+  // probe checks every entry stored so far against its own schema, and
+  // refines exactly as a run that stores and reuses nothing.
+  DenseBlowupParams blowup;
+  blowup.chaff_classes = 4;
+  blowup.core_classes = 3;
+  DenseUnsatParams unsat;
+  unsat.chaff_classes = 4;
+  unsat.core_classes = 3;
+  std::vector<std::pair<std::string, Schema>> schemas;
+  schemas.emplace_back("dense-blowup", GenerateDenseBlowupSchema(blowup));
+  schemas.emplace_back("dense-unsat", GenerateDenseUnsatSchema(unsat));
+  schemas.emplace_back("figure2", testing_schemas::Figure2());
+  for (const auto& [label, schema] : schemas) {
+    Reasoner reference(&schema, ReasonerOptions{});
+    LazySeedStore seeds(&schema);
+    size_t solves = 0;
+    size_t reuses = 0;
+    AuxClassProber prober =
+        [&, label = label](const AuxClassProbe& probe) -> Result<bool> {
+      CAR_ASSIGN_OR_RETURN(AuxiliarySchema extended,
+                           BuildAuxiliarySchema(schema, probe));
+      CAR_ASSIGN_OR_RETURN(
+          LazyOutcome lazy,
+          RunLazyExpansion(extended.schema, {extended.aux}, nullptr,
+                           ExpansionOptions{}, PsiSolverOptions{},
+                           LazyExpansionOptions{}, &seeds));
+      solves += lazy.seed_solves;
+      reuses += lazy.seed_reuses;
+      // The same run over a store of its own schema, where nothing is
+      // auxiliary and nothing is stored yet, must refine identically.
+      LazySeedStore cold_seeds(&extended.schema);
+      CAR_ASSIGN_OR_RETURN(
+          LazyOutcome cold,
+          RunLazyExpansion(extended.schema, {extended.aux}, nullptr,
+                           ExpansionOptions{}, PsiSolverOptions{},
+                           LazyExpansionOptions{}, &cold_seeds));
+      EXPECT_FALSE(lazy.spurious_witness) << label;
+      EXPECT_EQ(lazy.conclusive, cold.conclusive) << label;
+      EXPECT_EQ(lazy.class_satisfiable, cold.class_satisfiable) << label;
+      EXPECT_EQ(lazy.refinement_rounds, cold.refinement_rounds) << label;
+      EXPECT_EQ(lazy.compounds_materialized, cold.compounds_materialized)
+          << label;
+      EXPECT_EQ(lazy.blocking_constraints, cold.blocking_constraints)
+          << label;
+      EXPECT_EQ(lazy.certificate_closures, cold.certificate_closures)
+          << label;
+      for (const LazySeedBase* entry : seeds.Entries()) {
+        ExpectSeedMatchesAssembly(*entry, extended.schema, extended.aux,
+                                  label);
+      }
+      if (lazy.conclusive) {
+        return static_cast<bool>(lazy.class_satisfiable[extended.aux]);
+      }
+      return EagerClassSatisfiable(extended.schema, extended.aux,
+                                   ReasonerOptions{});
+    };
+    // Every other class as the subject keeps the from-scratch reference
+    // cheap; the probe kinds are the same for each subject.
+    std::vector<ImplicationQuery> queries;
+    for (ClassId subject = 0; subject < schema.num_classes(); subject += 2) {
+      for (ImplicationQuery& query : EveryProbeKind(schema, subject)) {
+        queries.push_back(std::move(query));
+      }
+    }
+    auto expected = reference.RunImplicationBatch(queries);
+    ASSERT_TRUE(expected.ok()) << label << ": " << expected.status();
+    for (size_t i = 0; i < queries.size(); ++i) {
+      auto answer = DecideImplication(schema, queries[i], prober);
+      ASSERT_TRUE(answer.ok()) << label << " #" << i << ": "
+                               << answer.status();
+      EXPECT_EQ(expected.value()[i], answer.value()) << label << " #" << i;
+    }
+    EXPECT_GT(seeds.Entries().size(), 0u) << label;
+    EXPECT_GT(solves, 0u) << label;
+    EXPECT_GT(reuses, 0u) << label;
+  }
+}
+
+TEST(LazySeedStoreTest, FootprintCountsEntriesUntilCleared) {
+  DenseUnsatParams params;
+  params.chaff_classes = 5;
+  params.core_classes = 3;
+  Schema schema = GenerateDenseUnsatSchema(params);
+  LazySeedStore seeds(&schema);
+  EXPECT_EQ(seeds.footprint().compound_classes, 0u);
+  const ClassId last = schema.num_classes() - 1;
+  auto outcome =
+      RunLazyExpansion(schema, {last}, nullptr, ExpansionOptions{},
+                       PsiSolverOptions{}, LazyExpansionOptions{}, &seeds);
+  ASSERT_TRUE(outcome.ok()) << outcome.status();
+  ASSERT_EQ(outcome->seed_solves, 1u);
+  LazySeedStore::Footprint footprint = seeds.footprint();
+  EXPECT_GT(footprint.compound_classes, 0u);
+  EXPECT_GT(footprint.tableau_nonzeros, 0u);
+  seeds.Clear();
+  EXPECT_TRUE(seeds.Entries().empty());
+  EXPECT_EQ(seeds.footprint().compound_classes, 0u);
+  EXPECT_EQ(seeds.footprint().tableau_nonzeros, 0u);
+}
+
+TEST(LazySeedStoreTest, SessionFaultInjectionSweepNeverStoresAPartialSeed) {
+  // A governed lazy session tripped at every work threshold of a batch
+  // whose probes share seeds: each run either answers exactly or trips
+  // with a fault-injection report, and the same session answers an
+  // ungoverned batch exactly afterwards — a trip inside a seed build
+  // leaves nothing half-built behind.
+  DenseUnsatParams params;
+  params.chaff_classes = 4;
+  params.core_classes = 3;
+  Schema schema = GenerateDenseUnsatSchema(params);
+  // Two queries per core class with the same auxiliary class, so the
+  // second resumes the seed the first solved.
+  std::vector<ImplicationQuery> queries;
+  for (ClassId c = params.chaff_classes; c < schema.num_classes(); ++c) {
+    ImplicationQuery query;
+    query.kind = ImplicationQuery::Kind::kIsa;
+    query.class_id = c;
+    query.formula = ClassFormula::OfNegatedClass(c);
+    queries.push_back(query);
+    query.kind = ImplicationQuery::Kind::kDisjoint;
+    query.other = c;
+    queries.push_back(query);
+  }
+  Reasoner reference(&schema, ReasonerOptions{});
+  auto expected = reference.RunImplicationBatch(queries);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+
+  ReasonerOptions options = LazyOptions();
+  options.prefilter = false;
+  uint64_t total_work = 0;
+  {
+    ExecContext exec;
+    IncrementalSession session(&schema, options);
+    session.set_exec(&exec);
+    auto answers = session.RunImplicationBatch(queries);
+    ASSERT_TRUE(answers.ok()) << answers.status();
+    ASSERT_EQ(expected.value(), answers.value());
+    IncrementalStats stats = session.stats();
+    ASSERT_GT(stats.lazy_seed_solves, 0u);
+    ASSERT_GT(stats.lazy_seed_reuses, 0u);
+    total_work = exec.progress().work_charged;
+    ASSERT_GT(total_work, 0u);
+  }
+
+  size_t tripped = 0;
+  for (uint64_t inject = 0; inject <= total_work; ++inject) {
+    ExecContext exec;
+    exec.InjectTripAfter(inject);
+    IncrementalSession session(&schema, options);
+    session.set_exec(&exec);
+    auto answers = session.RunImplicationBatch(queries);
+    if (answers.ok()) {
+      EXPECT_EQ(expected.value(), answers.value()) << "inject=" << inject;
+    } else {
+      ++tripped;
+      EXPECT_TRUE(exec.tripped()) << "inject=" << inject;
+      EXPECT_EQ(exec.report().kind, LimitKind::kFaultInjection)
+          << "inject=" << inject;
+    }
+    session.set_exec(nullptr);
+    auto again = session.RunImplicationBatch(queries);
+    ASSERT_TRUE(again.ok()) << "inject=" << inject << ": " << again.status();
+    EXPECT_EQ(expected.value(), again.value()) << "inject=" << inject;
+  }
+  EXPECT_GT(tripped, 0u);
+}
+
+TEST(LazySeedStoreTest, SharedSeedChargesDoNotDependOnThreadCount) {
+  // Probes that share a seed race to assemble and solve it; the store
+  // builds each set once, so a batch charges the same work at every
+  // thread count, and a work budget or injection threshold trips — with
+  // the same report — or not alike at 1, 2 and 8 threads.
+  DenseUnsatParams params;
+  params.chaff_classes = 4;
+  params.core_classes = 3;
+  Schema schema = GenerateDenseUnsatSchema(params);
+  std::vector<ImplicationQuery> queries;
+  for (ClassId c = params.chaff_classes; c < schema.num_classes(); ++c) {
+    ImplicationQuery query;
+    query.kind = ImplicationQuery::Kind::kIsa;
+    query.class_id = c;
+    query.formula = ClassFormula::OfNegatedClass(c);
+    queries.push_back(query);
+    query.kind = ImplicationQuery::Kind::kDisjoint;
+    query.other = c;
+    queries.push_back(query);
+  }
+
+  // Returns "ok" or the trip's report, after checking the answers.
+  auto run = [&](int threads, uint64_t inject,
+                 uint64_t work_budget) -> std::string {
+    ReasonerOptions options = LazyOptions(threads);
+    options.prefilter = false;
+    ExecContext exec;
+    if (inject != AdmissionLimits::kNoInjection) exec.InjectTripAfter(inject);
+    if (work_budget != 0) exec.SetWorkBudget(work_budget);
+    IncrementalSession session(&schema, options);
+    session.set_exec(&exec);
+    auto answers = session.RunImplicationBatch(queries);
+    if (!answers.ok()) return exec.report().ToString();
+    EXPECT_GT(session.stats().lazy_seed_reuses, 0u) << "threads=" << threads;
+    return "ok work=" + std::to_string(exec.progress().work_charged);
+  };
+
+  const std::string full = run(1, AdmissionLimits::kNoInjection, 0);
+  ASSERT_EQ(full.rfind("ok work=", 0), 0u) << full;
+  const uint64_t total_work = std::stoull(full.substr(8));
+  for (int threads : kThreadCounts) {
+    EXPECT_EQ(run(threads, AdmissionLimits::kNoInjection, 0), full)
+        << "threads=" << threads;
+  }
+  size_t tripped = 0;
+  for (uint64_t limit = 0; limit <= total_work; ++limit) {
+    const std::string injected = run(1, limit, 0);
+    const std::string budgeted = run(1, AdmissionLimits::kNoInjection,
+                                     limit + 1);
+    if (injected.rfind("ok", 0) != 0) ++tripped;
+    for (int threads : {2, 8}) {
+      EXPECT_EQ(run(threads, limit, 0), injected)
+          << "inject=" << limit << " threads=" << threads;
+      EXPECT_EQ(run(threads, AdmissionLimits::kNoInjection, limit + 1),
+                budgeted)
+          << "budget=" << limit + 1 << " threads=" << threads;
+    }
+  }
+  EXPECT_GT(tripped, 0u);
 }
 
 }  // namespace

@@ -490,6 +490,8 @@ int Query(Schema& schema) {
               << stats.lazy_compounds_materialized
               << " blocking-constraints=" << stats.lazy_blocking_constraints
               << " certificate-closures=" << stats.lazy_certificate_closures
+              << " seed-solves=" << stats.lazy_seed_solves
+              << " seed-reuses=" << stats.lazy_seed_reuses
               << " spurious-witnesses=" << stats.spurious_witnesses << "\n";
   }
   return kExitSat;
