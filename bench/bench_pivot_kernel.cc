@@ -1,28 +1,30 @@
 // EXP-N driver: sparse pivot kernel + word-sized exact scalar fast path.
 //
-// Workload: the Ψ LP phase (SolvePsi) on chain schemas, clustered
-// schemas, and truncated prefixes of examples/schemas/dense_blowup.car,
-// solved three times per cell — once per tableau kernel:
+// Workload: the round-1 support LP of SolvePsi (Ψ_S of the whole
+// expansion with its support gadgets, as BuildIncrementalPsiBaseStructure
+// builds it) on chain schemas, clustered schemas, and truncated prefixes
+// of examples/schemas/dense_blowup.car, solved with
+// SimplexSolver::Maximize once per tableau kernel:
 //
 //   dense-rational  dense rows of BigInt-backed Rationals (the
 //                   pre-optimization kernel, the baseline),
-//   dense-scalar    dense rows of word-sized Scalars (isolates the
-//                   scalar-layer win),
 //   sparse-scalar   compressed sparse rows of Scalars (production).
 //
-// All kernels are exact and follow the identical Bland pivot sequence,
-// so every cell asserts bit-identical solutions (support, per-class
-// verdicts, integer certificate, pivot counts) across kernels AND across
-// the sparse kernel at 1/2/8 threads; the run fails if any differ. Times,
-// speedup factors, promotion counts and tableau fill land as one
-// JSON-lines record per cell in BENCH_pivot_kernel.json.
+// Both kernels are exact and follow the identical Bland pivot sequence,
+// so every cell asserts bit-identical LP results (outcome, objective,
+// vertex, pivots, final nonzeros) across kernels, and bit-identical
+// SolvePsi solutions (support, per-class verdicts, integer certificate,
+// pivot counts) across a 1/2/8-thread sweep; the run fails if any
+// differ. The SolvePsi statistics (LP solves, pivots, LP size, promotions,
+// tableau fill), the kernel times and their ratio land as one JSON-lines
+// record per cell in BENCH_pivot_kernel.json.
 //
 // This is a plain main (not google-benchmark): each cell is a handful of
-// end-to-end SolvePsi calls, the quantity of interest being the
-// dense-vs-sparse and bigint-vs-scalar wall-time ratios.
+// LP solves, the quantity of interest being the dense-vs-sparse
+// wall-time ratio.
 //
 // Usage: bench_pivot_kernel [--threads=N] [--smoke] [--out=FILE]
-//   --threads=N  restrict the sparse-kernel thread sweep to just N
+//   --threads=N  restrict the SolvePsi thread sweep to just N
 //   --smoke      tiny workload for CI
 
 #include <algorithm>
@@ -38,6 +40,7 @@
 #include "bench_json.h"
 #include "expansion/expansion.h"
 #include "frontend/parser.h"
+#include "solver/incremental_psi.h"
 #include "solver/solve.h"
 #include "workloads/generators.h"
 
@@ -51,7 +54,7 @@ double MillisSince(std::chrono::steady_clock::time_point start) {
 }
 
 /// Everything SolvePsi computes that the exactness contract promises is
-/// kernel- and thread-independent, pivot trajectory included.
+/// thread-independent, pivot trajectory included.
 bool SameSolution(const PsiSolution& a, const PsiSolution& b) {
   return a.cc_active == b.cc_active && a.ca_active == b.ca_active &&
          a.cr_active == b.cr_active &&
@@ -63,32 +66,39 @@ bool SameSolution(const PsiSolution& a, const PsiSolution& b) {
          a.lp_solves == b.lp_solves && a.total_pivots == b.total_pivots;
 }
 
-/// Solves with the given kernel/threads `reps` times; returns the last
-/// solution and the best wall time (min over reps smooths scheduler
+/// Everything an LP solve returns that both kernels must agree on.
+bool SameLp(const LpResult& a, const LpResult& b) {
+  return a.outcome == b.outcome && a.objective == b.objective &&
+         a.values == b.values && a.pivots == b.pivots &&
+         a.tableau_nonzeros == b.tableau_nonzeros;
+}
+
+/// Solves the support LP with the given kernel `reps` times; returns the
+/// last result and the best wall time (min over reps smooths scheduler
 /// noise in the tiny smoke cells).
-struct TimedSolve {
-  PsiSolution solution;
+struct TimedLp {
+  LpResult lp;
   double best_ms = 0;
   bool ok = false;
 };
-TimedSolve RunCell(const Expansion& expansion, SimplexKernel kernel,
-                   int threads, int reps) {
-  TimedSolve timed;
+TimedLp RunKernel(const IncrementalPsiBase& support, SimplexKernel kernel,
+                  int reps) {
+  TimedLp timed;
+  SimplexSolver::Options options;
+  options.kernel = kernel;
+  const SimplexSolver solver(options);
   for (int rep = 0; rep < reps; ++rep) {
-    PsiSolverOptions options;
-    options.kernel = kernel;
-    options.num_threads = threads;
     auto start = std::chrono::steady_clock::now();
-    auto solution = SolvePsi(expansion, options);
+    auto lp = solver.Maximize(support.psi.system, support.objective);
     double ms = MillisSince(start);
-    if (!solution.ok()) {
-      std::fprintf(stderr, "SolvePsi(%s): %s\n",
+    if (!lp.ok()) {
+      std::fprintf(stderr, "Maximize(%s): %s\n",
                    SimplexKernelToString(kernel),
-                   solution.status().ToString().c_str());
+                   lp.status().ToString().c_str());
       return timed;
     }
     if (rep == 0 || ms < timed.best_ms) timed.best_ms = ms;
-    timed.solution = std::move(solution.value());
+    timed.lp = std::move(lp.value());
   }
   timed.ok = true;
   return timed;
@@ -171,12 +181,11 @@ int Main(int argc, char** argv) {
     return 1;
   }
 
-  std::printf("EXP-N: pivot kernels on the Psi LP phase (%s)\n\n",
+  std::printf("EXP-N: pivot kernels on the Psi support LP (%s)\n\n",
               smoke ? "smoke" : "full");
-  std::printf("| schema | dense-rational (ms) | dense-scalar (ms) | "
-              "sparse-scalar (ms) | total | sparsity | scalar | fill | "
-              "promotions |\n");
-  std::printf("|---|---|---|---|---|---|---|---|---|\n");
+  std::printf("| schema | dense-rational (ms) | sparse-scalar (ms) | "
+              "speedup | fill | promotions |\n");
+  std::printf("|---|---|---|---|---|---|\n");
 
   bool all_identical = true;
   for (const Cell& cell : cells) {
@@ -210,52 +219,58 @@ int Main(int argc, char** argv) {
     }
     Expansion expansion = std::move(built.value());
 
-    TimedSolve dense_rational =
-        RunCell(expansion, SimplexKernel::kDenseRational, 1, reps);
-    TimedSolve dense_scalar =
-        RunCell(expansion, SimplexKernel::kDenseScalar, 1, reps);
-    if (!dense_rational.ok || !dense_scalar.ok) return 1;
+    auto support = BuildIncrementalPsiBaseStructure(expansion, {});
+    if (!support.ok()) {
+      std::fprintf(stderr, "%s: %s\n", cell.name.c_str(),
+                   support.status().ToString().c_str());
+      return 1;
+    }
+    TimedLp dense_rational =
+        RunKernel(support.value(), SimplexKernel::kDenseRational, reps);
+    TimedLp sparse =
+        RunKernel(support.value(), SimplexKernel::kSparseScalar, reps);
+    if (!dense_rational.ok || !sparse.ok) return 1;
+    bool identical = SameLp(dense_rational.lp, sparse.lp);
 
-    // The production kernel, swept over thread counts: certificate
-    // post-processing parallelizes, the answer must not change. Stats
-    // come from the first sweep entry; the reported time is the best
-    // across the sweep (the LP itself is sequential either way).
-    TimedSolve sparse;
-    bool identical =
-        SameSolution(dense_rational.solution, dense_scalar.solution);
+    // SolvePsi on the production kernel, swept over thread counts:
+    // certificate post-processing parallelizes, the answer must not
+    // change. The recorded statistics come from the first sweep entry.
+    PsiSolution stats;
     for (size_t t = 0; t < thread_sweep.size(); ++t) {
-      TimedSolve run = RunCell(expansion, SimplexKernel::kSparseScalar,
-                               thread_sweep[t], reps);
-      if (!run.ok) return 1;
-      identical =
-          identical && SameSolution(dense_rational.solution, run.solution);
-      if (t == 0) {
-        sparse = std::move(run);
-      } else {
-        sparse.best_ms = std::min(sparse.best_ms, run.best_ms);
+      PsiSolverOptions options;
+      options.num_threads = thread_sweep[t];
+      auto solution = SolvePsi(expansion, options);
+      if (!solution.ok()) {
+        std::fprintf(stderr, "SolvePsi(threads=%d): %s\n", thread_sweep[t],
+                     solution.status().ToString().c_str());
+        return 1;
       }
+      if (t == 0) {
+        stats = std::move(solution.value());
+      } else {
+        identical = identical && SameSolution(stats, solution.value());
+      }
+    }
+    // A one-round SolvePsi solves exactly the timed LP.
+    if (stats.lp_solves == 1) {
+      identical = identical && sparse.lp.pivots == stats.total_pivots &&
+                  sparse.lp.scalar_promotions == stats.scalar_promotions &&
+                  sparse.lp.tableau_nonzeros == stats.peak_tableau_nonzeros &&
+                  sparse.lp.tableau_cells == stats.peak_tableau_cells;
     }
     all_identical = all_identical && identical;
 
-    const PsiSolution& stats = sparse.solution;
-    double total_speedup =
+    double speedup =
         sparse.best_ms > 0 ? dense_rational.best_ms / sparse.best_ms : 0.0;
-    double sparsity_speedup =
-        sparse.best_ms > 0 ? dense_scalar.best_ms / sparse.best_ms : 0.0;
-    double scalar_speedup = dense_scalar.best_ms > 0
-                                ? dense_rational.best_ms / dense_scalar.best_ms
-                                : 0.0;
     double fill = stats.peak_tableau_cells > 0
                       ? static_cast<double>(stats.peak_tableau_nonzeros) /
                             static_cast<double>(stats.peak_tableau_cells)
                       : 0.0;
-    std::printf(
-        "| %s | %.2f | %.2f | %.2f | %.2fx | %.2fx | %.2fx | %.3f | %llu "
-        "|%s\n",
-        cell.name.c_str(), dense_rational.best_ms, dense_scalar.best_ms,
-        sparse.best_ms, total_speedup, sparsity_speedup, scalar_speedup,
-        fill, static_cast<unsigned long long>(stats.scalar_promotions),
-        identical ? "" : "  ANSWERS DIFFER (bug!)");
+    std::printf("| %s | %.2f | %.2f | %.2fx | %.3f | %llu |%s\n",
+                cell.name.c_str(), dense_rational.best_ms, sparse.best_ms,
+                speedup, fill,
+                static_cast<unsigned long long>(stats.scalar_promotions),
+                identical ? "" : "  ANSWERS DIFFER (bug!)");
     std::fflush(stdout);
 
     bench::JsonRecord record;
@@ -264,11 +279,8 @@ int Main(int argc, char** argv) {
         .Add("threads_swept", static_cast<int>(thread_sweep.size()))
         .Add("smoke", smoke)
         .Add("dense_rational_ms", dense_rational.best_ms)
-        .Add("dense_scalar_ms", dense_scalar.best_ms)
         .Add("sparse_ms", sparse.best_ms)
-        .Add("speedup_total", total_speedup)
-        .Add("speedup_sparsity", sparsity_speedup)
-        .Add("speedup_scalar", scalar_speedup)
+        .Add("speedup_total", speedup)
         .Add("answers_identical", identical)
         .Add("lp_solves", static_cast<uint64_t>(stats.lp_solves))
         .Add("pivots", static_cast<uint64_t>(stats.total_pivots))
@@ -282,7 +294,9 @@ int Main(int argc, char** argv) {
     out.Write(record);
   }
   if (!all_identical) {
-    std::fprintf(stderr, "FAIL: kernels returned different solutions\n");
+    std::fprintf(stderr,
+                 "FAIL: kernels or thread counts returned different "
+                 "solutions\n");
     return 1;
   }
   std::printf("\nwrote %s\n", out_path.c_str());

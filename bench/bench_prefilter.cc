@@ -5,15 +5,19 @@
 // deterministic mix of implication queries. Each cell answers the same
 // batch three ways — from-scratch Reasoner (the oracle), an untiered
 // IncrementalSession (prefilter off), and a tiered one (prefilter on) —
-// and requires all three answer vectors to be identical. The JSON record
-// carries the wall-clock of the two sessions and the per-tier
-// short-circuit fractions (closure hits, cluster-local solves, memo hits
-// and full probes over the batch), which is what the CI smoke gate
-// checks: answers_identical, and tiered latency no worse than untiered.
+// and requires all three answer vectors to be identical. Each session
+// kind is timed kReps times, each time on a fresh session, with the order
+// of the two kinds alternating between repetitions. The JSON record
+// carries the median wall-clock of the two session kinds, the
+// repetition count, and the per-tier short-circuit fractions (closure
+// hits, cluster-local solves, memo hits and full probes over the batch),
+// which is what the CI smoke gate checks: answers_identical, and tiered
+// median latency no worse than untiered.
 //
 // Usage: bench_prefilter [--threads=N] [--smoke] [--out=FILE]
 //   --smoke  reduced workload for CI: two cells, one batch size
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -103,6 +107,38 @@ double MillisSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
+/// Timed batches per session kind and cell: the median of a few fresh
+/// sessions, not one sample that a scheduler hiccup can flip.
+constexpr int kReps = 5;
+
+/// One timed batch on a fresh session.
+struct SessionRun {
+  double ms = 0;
+  std::vector<bool> answers;
+  IncrementalStats stats;
+};
+
+Result<SessionRun> RunFreshSession(
+    const Schema& schema, const ReasonerOptions& options,
+    const std::vector<ImplicationQuery>& queries) {
+  IncrementalSession session(&schema, options);
+  auto start = std::chrono::steady_clock::now();
+  CAR_ASSIGN_OR_RETURN(std::vector<bool> answers,
+                       session.RunImplicationBatch(queries));
+  SessionRun run;
+  run.ms = MillisSince(start);
+  run.answers = std::move(answers);
+  run.stats = session.stats();
+  return run;
+}
+
+double Median(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  const size_t mid = samples.size() / 2;
+  return samples.size() % 2 == 1 ? samples[mid]
+                                 : (samples[mid - 1] + samples[mid]) / 2;
+}
+
 int Main(int argc, char** argv) {
   int num_threads = 1;
   bool smoke = false;
@@ -156,7 +192,8 @@ int Main(int argc, char** argv) {
   std::printf("EXP-Q: prefilter tiers, tiered vs untiered incremental "
               "sessions (threads=%d%s)\n\n",
               num_threads, smoke ? ", smoke" : "");
-  std::printf("| schema | batch | untiered (ms) | tiered (ms) | speedup | "
+  std::printf("| schema | batch | untiered (ms, median) | tiered (ms, "
+              "median) | speedup | "
               "closure | cluster-local | probes |\n");
   std::printf("|---|---|---|---|---|---|---|---|\n");
 
@@ -194,34 +231,34 @@ int Main(int argc, char** argv) {
 
       ReasonerOptions untiered_options = oracle_options;
       untiered_options.prefilter = false;
-      IncrementalSession untiered(&schema, untiered_options);
-      auto untiered_start = std::chrono::steady_clock::now();
-      auto untiered_answers = untiered.RunImplicationBatch(queries);
-      double untiered_ms = MillisSince(untiered_start);
-      if (!untiered_answers.ok()) {
-        std::fprintf(stderr, "untiered: %s\n",
-                     untiered_answers.status().ToString().c_str());
-        return 1;
-      }
-
       ReasonerOptions tiered_options = oracle_options;
       tiered_options.prefilter = true;
-      IncrementalSession tiered(&schema, tiered_options);
-      auto tiered_start = std::chrono::steady_clock::now();
-      auto tiered_answers = tiered.RunImplicationBatch(queries);
-      double tiered_ms = MillisSince(tiered_start);
-      if (!tiered_answers.ok()) {
-        std::fprintf(stderr, "tiered: %s\n",
-                     tiered_answers.status().ToString().c_str());
-        return 1;
+      std::vector<double> untiered_samples;
+      std::vector<double> tiered_samples;
+      IncrementalStats stats;
+      bool identical = true;
+      for (int rep = 0; rep < kReps; ++rep) {
+        // Alternate which kind runs first, so neither always pays for
+        // (or profits from) running first.
+        for (bool tiered : {rep % 2 == 1, rep % 2 == 0}) {
+          auto run = RunFreshSession(
+              schema, tiered ? tiered_options : untiered_options, queries);
+          if (!run.ok()) {
+            std::fprintf(stderr, "%s: %s\n",
+                         tiered ? "tiered" : "untiered",
+                         run.status().ToString().c_str());
+            return 1;
+          }
+          identical = identical && run->answers == oracle_answers.value();
+          (tiered ? tiered_samples : untiered_samples).push_back(run->ms);
+          if (tiered) stats = run->stats;
+        }
       }
-
-      bool identical = oracle_answers.value() == untiered_answers.value() &&
-                       oracle_answers.value() == tiered_answers.value();
+      const double untiered_ms = Median(untiered_samples);
+      const double tiered_ms = Median(tiered_samples);
       all_identical = all_identical && identical;
       all_no_slower = all_no_slower && tiered_ms <= untiered_ms;
 
-      IncrementalStats stats = tiered.stats();
       double batch = static_cast<double>(queries.size());
       double closure_fraction = stats.closure_hits / batch;
       double cluster_fraction = stats.cluster_local / batch;
@@ -242,6 +279,7 @@ int Main(int argc, char** argv) {
           .Add("batch", static_cast<int>(queries.size()))
           .Add("threads", num_threads)
           .Add("smoke", smoke)
+          .Add("reps", kReps)
           .Add("untiered_ms", untiered_ms)
           .Add("tiered_ms", tiered_ms)
           .Add("speedup", speedup)

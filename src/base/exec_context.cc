@@ -1,6 +1,7 @@
 #include "base/exec_context.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "base/strings.h"
 
@@ -89,7 +90,11 @@ AdmissionLimits AdmissionLimits::Tighten(const AdmissionLimits& a,
 
 void AdmissionLimits::ConfigureContext(ExecContext* context) const {
   if (deadline_ms > 0) {
-    context->SetDeadlineAfter(std::chrono::milliseconds(deadline_ms));
+    // Saturate the unsigned wire value into the signed duration; anything
+    // that large is past the clock's horizon, i.e. no deadline.
+    context->SetDeadlineAfter(std::chrono::milliseconds(
+        static_cast<int64_t>(std::min<uint64_t>(
+            deadline_ms, std::chrono::milliseconds::max().count()))));
   }
   if (work_budget > 0) context->SetWorkBudget(work_budget);
   if (memory_budget_bytes > 0) context->SetMemoryBudget(memory_budget_bytes);
@@ -113,14 +118,25 @@ void ExecContext::set_deadline(
 }
 
 void ExecContext::SetDeadlineAfter(std::chrono::milliseconds budget) {
-  deadline_budget_ms_.store(
-      static_cast<uint64_t>(std::max<int64_t>(0, budget.count())),
-      std::memory_order_relaxed);
-  deadline_ns_.store(
+  const int64_t now_ns =
       std::chrono::duration_cast<std::chrono::nanoseconds>(
-          (std::chrono::steady_clock::now() + budget).time_since_epoch())
-          .count(),
-      std::memory_order_relaxed);
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count();
+  const int64_t budget_ms = std::max<int64_t>(0, budget.count());
+  // The deadline must fit the clock's int64 nanosecond count. A budget
+  // past that horizon (about 292 years of clock reading) means no
+  // deadline, instead of an overflowed one that trips at once.
+  constexpr int64_t kNanosPerMilli = 1000000;
+  if (budget_ms > (std::numeric_limits<int64_t>::max() - now_ns) /
+                      kNanosPerMilli) {
+    deadline_budget_ms_.store(0, std::memory_order_relaxed);
+    deadline_ns_.store(0, std::memory_order_relaxed);
+    return;
+  }
+  deadline_budget_ms_.store(static_cast<uint64_t>(budget_ms),
+                            std::memory_order_relaxed);
+  deadline_ns_.store(now_ns + budget_ms * kNanosPerMilli,
+                     std::memory_order_relaxed);
 }
 
 void ExecContext::SetWorkBudget(uint64_t units) {

@@ -182,7 +182,8 @@ class ExecContext {
 
   /// Absolute monotonic deadline.
   void set_deadline(std::chrono::steady_clock::time_point deadline);
-  /// Deadline `budget` from now.
+  /// Deadline `budget` from now (a negative budget counts as zero). A
+  /// budget past the clock's horizon sets no deadline.
   void SetDeadlineAfter(std::chrono::milliseconds budget);
   /// Trips kWorkBudget when cumulative charged work exceeds `units`.
   void SetWorkBudget(uint64_t units);

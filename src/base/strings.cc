@@ -38,4 +38,14 @@ std::string_view StripWhitespace(std::string_view text) {
   return text.substr(begin, end - begin);
 }
 
+std::optional<uint64_t> ParseUint64(std::string_view text) {
+  uint64_t value = 0;
+  auto [end, error] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (error != std::errc() || end != text.data() + text.size()) {
+    return std::nullopt;
+  }
+  return value;
+}
+
 }  // namespace car

@@ -2,6 +2,8 @@
 #define CAR_BASE_STRINGS_H_
 
 #include <charconv>
+#include <cstdint>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -71,6 +73,12 @@ std::string Elide(std::string_view text, size_t max_bytes = 256);
 
 /// Returns `text` with leading and trailing ASCII whitespace removed.
 std::string_view StripWhitespace(std::string_view text);
+
+/// Parses the whole of `text` as a decimal uint64: digits only, with no
+/// sign, whitespace or trailing characters, and no overflow. Returns
+/// nullopt otherwise (unlike stoull, which reads "-5" as 2^64-5 and "12x"
+/// as 12).
+std::optional<uint64_t> ParseUint64(std::string_view text);
 
 }  // namespace car
 

@@ -11,27 +11,6 @@ namespace car {
 
 namespace {
 
-// --- Cell helpers shared by the sparse production kernel and the dense
-// reference kernels. A "cell" is Scalar (production, dense-scalar) or
-// Rational (dense-rational); both are exact, so every kernel follows the
-// identical Bland pivot sequence and returns bit-identical results.
-
-template <typename Cell>
-Cell CellFromRational(const Rational& value);
-template <>
-inline Rational CellFromRational<Rational>(const Rational& value) {
-  return value;
-}
-template <>
-inline Scalar CellFromRational<Scalar>(const Rational& value) {
-  return Scalar(value);
-}
-
-inline Rational CellToRational(const Rational& value) { return value; }
-inline Rational CellToRational(const Scalar& value) {
-  return value.ToRational();
-}
-
 /// Whether a constraint enters the tableau negated. A negative
 /// right-hand side is negated so the rhs column stays nonnegative. A
 /// homogeneous `a·x >= 0` row is negated to `-a·x <= 0`, so its slack is
@@ -388,16 +367,6 @@ Status RemoveArtificialsFromBasis(SparseTableau* tableau, ExecContext* exec,
   return Status::Ok();
 }
 
-std::vector<Rational> ExtractSolution(const SparseTableau& tableau, int n) {
-  std::vector<Rational> values(n);
-  for (size_t i = 0; i < tableau.rows.size(); ++i) {
-    if (tableau.basis[i] < n) {
-      values[tableau.basis[i]] = tableau.rhs[i].ToRational();
-    }
-  }
-  return values;
-}
-
 /// Moves the tableau-shaped members of a snapshot into a SparseTableau
 /// (and back): the snapshot is the persisted form of the same sparse
 /// state.
@@ -468,28 +437,166 @@ Status ParkOrEvictArtificials(SparseTableau* tableau, ExecContext* exec,
 }
 
 // ===========================================================================
-// Dense reference kernel, templated on the cell type. Retained for the
-// differential tests and the dense-vs-sparse / bigint-vs-scalar bench
-// cells; reachable only through Maximize/CheckFeasible with an explicit
-// Options::kernel selection.
+// The two-phase driver every sparse entry point runs: Maximize and
+// SolveForSnapshot on a freshly built tableau, ResumeMaximize on a
+// snapshot extended by its delta.
 // ===========================================================================
 
-template <typename Cell>
+/// What a solve does, after a feasible phase 1, with the artificials still
+/// basic at zero.
+enum class Cleanup {
+  /// Pivot them out and drop the rows that are zero over real columns
+  /// (RemoveArtificialsFromBasis): nothing resumes this tableau.
+  kDropRedundantRows,
+  /// Pivot them out where the row allows and park the rest
+  /// (ParkOrEvictArtificials): a later delta may give a parked row
+  /// nonzero columns, and row indices must stay aligned with the
+  /// system's constraint indices.
+  kParkRedundantRows,
+};
+
+/// How SolvePhases runs on a tableau its caller built or extended.
+struct PhasePlan {
+  /// A cold tableau needs phase 1 iff it has an artificial column, a
+  /// resumed one iff its delta appended one.
+  bool run_phase1 = false;
+  Cleanup cleanup = Cleanup::kDropRedundantRows;
+  /// Read a Farkas certificate off an infeasible phase 1 (cold tableaus
+  /// only, see ExtractFarkasCertificate).
+  bool extract_certificate = false;
+  /// Structural variable -> column and back. Null for a cold tableau,
+  /// whose structural variables are its first `num_variables` columns.
+  const std::vector<int>* col_of_var = nullptr;
+  const std::vector<int>* var_of_col = nullptr;
+  int num_variables = 0;
+};
+
+/// Books the statistics of a finished solve on `result` and on the
+/// governor: scalar promotions since `promotions_before` and the final
+/// tableau's fill.
+void RecordSolveStats(const SparseTableau& tableau, uint64_t promotions_before,
+                      ExecContext* exec, LpResult* result) {
+  result->scalar_promotions =
+      Scalar::promotions_this_thread() - promotions_before;
+  result->tableau_nonzeros = NonzeroCells(tableau);
+  result->tableau_cells = DenseExtent(tableau);
+  if (exec != nullptr) {
+    exec->CountScalarPromotions(result->scalar_promotions);
+    exec->RecordTableauFill(result->tableau_nonzeros, result->tableau_cells);
+  }
+}
+
+/// Phase 1 (maximize minus the sum of the artificials) when the plan asks
+/// for it, its infeasible exit or its cleanup, then phase 2 on
+/// `objective` and the read-off of the optimum. Pivots add to
+/// result->pivots, which may already count the caller's own.
+Status SolvePhases(SparseTableau* tableau, const LinearExpr& objective,
+                   const PhasePlan& plan,
+                   const SimplexSolver::Options& options,
+                   uint64_t promotions_before, LpResult* result) {
+  ExecContext* exec = options.exec;
+  if (plan.run_phase1) {
+    std::vector<Scalar> phase1_cost(tableau->num_cols);
+    for (int j = 0; j < tableau->num_cols; ++j) {
+      if (tableau->is_artificial[j]) phase1_cost[j] = Scalar(-1);
+    }
+    CAR_ASSIGN_OR_RETURN(
+        LpOutcome outcome,
+        RunSimplex(tableau, phase1_cost, /*allow_artificial=*/true,
+                   options.max_pivots, exec, &result->pivots));
+    CAR_CHECK(outcome == LpOutcome::kOptimal)
+        << "phase 1 cannot be unbounded";
+    if (!ObjectiveValue(*tableau, phase1_cost).is_zero()) {
+      result->outcome = LpOutcome::kInfeasible;
+      if (plan.extract_certificate) {
+        result->infeasibility_certificate = ExtractFarkasCertificate(*tableau);
+      }
+      RecordSolveStats(*tableau, promotions_before, exec, result);
+      return Status::Ok();
+    }
+    CAR_RETURN_IF_ERROR(
+        plan.cleanup == Cleanup::kDropRedundantRows
+            ? RemoveArtificialsFromBasis(tableau, exec, &result->pivots)
+            : ParkOrEvictArtificials(tableau, exec, &result->pivots));
+  }
+
+  std::vector<Scalar> phase2_cost(tableau->num_cols);
+  for (const auto& [variable, coefficient] : objective.terms()) {
+    CAR_CHECK_GE(variable, 0);
+    CAR_CHECK_LT(variable, plan.num_variables);
+    const int column =
+        plan.col_of_var != nullptr ? (*plan.col_of_var)[variable] : variable;
+    phase2_cost[column] = Scalar(coefficient);
+  }
+  CAR_ASSIGN_OR_RETURN(
+      result->outcome,
+      RunSimplex(tableau, phase2_cost, /*allow_artificial=*/false,
+                 options.max_pivots, exec, &result->pivots));
+  result->objective = ObjectiveValue(*tableau, phase2_cost).ToRational();
+  result->values.assign(plan.num_variables, Rational());
+  for (size_t i = 0; i < tableau->rows.size(); ++i) {
+    const int column = tableau->basis[i];
+    const int variable =
+        plan.var_of_col != nullptr ? (*plan.var_of_col)[column]
+        : column < plan.num_variables ? column
+                                      : -1;
+    if (variable >= 0) result->values[variable] = tableau->rhs[i].ToRational();
+  }
+  RecordSolveStats(*tableau, promotions_before, exec, result);
+  return Status::Ok();
+}
+
+/// A cold solve: builds the tableau of `system` into `tableau` and runs
+/// both phases with the given cleanup.
+Result<LpResult> SolveCold(const LinearSystem& system,
+                           const LinearExpr& objective, Cleanup cleanup,
+                           const SimplexSolver::Options& options,
+                           SparseTableau* tableau) {
+  CAR_RETURN_IF_ERROR(GovCheck(options.exec, "simplex"));
+  const uint64_t promotions_before = Scalar::promotions_this_thread();
+  *tableau = BuildTableau(system);
+  // The tableau is the dominant allocation of a solve; charge its
+  // nonzero storage (the whole point of the sparse kernel is that this
+  // is far below rows * cols).
+  CAR_RETURN_IF_ERROR(
+      GovChargeBytes(options.exec, NonzeroBytes(*tableau), "simplex"));
+  PhasePlan plan;
+  plan.run_phase1 = std::find(tableau->is_artificial.begin(),
+                              tableau->is_artificial.end(),
+                              true) != tableau->is_artificial.end();
+  plan.cleanup = cleanup;
+  plan.extract_certificate = options.extract_certificate;
+  plan.num_variables = system.num_variables();
+  LpResult result;
+  CAR_RETURN_IF_ERROR(SolvePhases(tableau, objective, plan, options,
+                                  promotions_before, &result));
+  return result;
+}
+
+// ===========================================================================
+// Dense reference kernel over BigInt-backed Rational cells: the
+// differential oracle of simplex_test and the baseline of
+// bench_pivot_kernel, reachable only through Maximize/CheckFeasible with
+// Options::kernel = kDenseRational. It follows the identical Bland pivot
+// sequence over the identical exact values, so its results are
+// bit-identical to the sparse kernel's.
+// ===========================================================================
+
 struct DenseTableau {
-  std::vector<std::vector<Cell>> rows;
-  std::vector<Cell> rhs;
+  std::vector<std::vector<Rational>> rows;
+  std::vector<Rational> rhs;
   std::vector<int> basis;
   std::vector<bool> is_artificial;
   int num_cols = 0;
 
   void Pivot(size_t pivot_row, int pivot_col) {
-    Cell pivot_value = rows[pivot_row][pivot_col];
+    Rational pivot_value = rows[pivot_row][pivot_col];
     CAR_CHECK(!pivot_value.is_zero());
-    for (Cell& cell : rows[pivot_row]) cell /= pivot_value;
+    for (Rational& cell : rows[pivot_row]) cell /= pivot_value;
     rhs[pivot_row] /= pivot_value;
     for (size_t r = 0; r < rows.size(); ++r) {
       if (r == pivot_row) continue;
-      Cell factor = rows[r][pivot_col];
+      Rational factor = rows[r][pivot_col];
       if (factor.is_zero()) continue;
       for (int c = 0; c < num_cols; ++c) {
         if (!rows[pivot_row][c].is_zero()) {
@@ -502,15 +609,15 @@ struct DenseTableau {
   }
 };
 
-template <typename Cell>
-Result<LpOutcome> RunDenseSimplex(DenseTableau<Cell>* tableau,
-                                  const std::vector<Cell>& cost,
+Result<LpOutcome> RunDenseSimplex(DenseTableau* tableau,
+                                  const std::vector<Rational>& cost,
                                   bool allow_artificial, size_t max_pivots,
                                   ExecContext* exec, size_t* pivots) {
   const size_t num_rows = tableau->rows.size();
-  std::vector<Cell> reduced(cost.begin(), cost.begin() + tableau->num_cols);
+  std::vector<Rational> reduced(cost.begin(),
+                                cost.begin() + tableau->num_cols);
   for (size_t i = 0; i < num_rows; ++i) {
-    const Cell& basic_cost = cost[tableau->basis[i]];
+    const Rational& basic_cost = cost[tableau->basis[i]];
     if (basic_cost.is_zero()) continue;
     for (int j = 0; j < tableau->num_cols; ++j) {
       if (!tableau->rows[i][j].is_zero()) {
@@ -530,11 +637,11 @@ Result<LpOutcome> RunDenseSimplex(DenseTableau<Cell>* tableau,
     if (entering < 0) return LpOutcome::kOptimal;
 
     int leaving_row = -1;
-    Cell best_ratio;
+    Rational best_ratio;
     for (size_t i = 0; i < num_rows; ++i) {
-      const Cell& coefficient = tableau->rows[i][entering];
+      const Rational& coefficient = tableau->rows[i][entering];
       if (!coefficient.is_positive()) continue;
-      Cell ratio = tableau->rhs[i] / coefficient;
+      Rational ratio = tableau->rhs[i] / coefficient;
       if (leaving_row < 0 || ratio < best_ratio ||
           (ratio == best_ratio &&
            tableau->basis[i] < tableau->basis[leaving_row])) {
@@ -545,9 +652,9 @@ Result<LpOutcome> RunDenseSimplex(DenseTableau<Cell>* tableau,
     if (leaving_row < 0) return LpOutcome::kUnbounded;
 
     tableau->Pivot(static_cast<size_t>(leaving_row), entering);
-    Cell factor = reduced[entering];
+    Rational factor = reduced[entering];
     if (!factor.is_zero()) {
-      const std::vector<Cell>& pivot_row =
+      const std::vector<Rational>& pivot_row =
           tableau->rows[static_cast<size_t>(leaving_row)];
       for (int j = 0; j < tableau->num_cols; ++j) {
         if (!pivot_row[j].is_zero()) {
@@ -564,19 +671,17 @@ Result<LpOutcome> RunDenseSimplex(DenseTableau<Cell>* tableau,
   }
 }
 
-template <typename Cell>
-Cell DenseObjectiveValue(const DenseTableau<Cell>& tableau,
-                         const std::vector<Cell>& cost) {
-  Cell value;
+Rational DenseObjectiveValue(const DenseTableau& tableau,
+                             const std::vector<Rational>& cost) {
+  Rational value;
   for (size_t i = 0; i < tableau.rows.size(); ++i) {
-    const Cell& basic_cost = cost[tableau.basis[i]];
+    const Rational& basic_cost = cost[tableau.basis[i]];
     if (!basic_cost.is_zero()) value += basic_cost * tableau.rhs[i];
   }
   return value;
 }
 
-template <typename Cell>
-DenseTableau<Cell> BuildDenseTableau(const LinearSystem& system) {
+DenseTableau BuildDenseTableau(const LinearSystem& system) {
   const int n = system.num_variables();
   const auto& constraints = system.constraints();
 
@@ -597,7 +702,7 @@ DenseTableau<Cell> BuildDenseTableau(const LinearSystem& system) {
     }
   }
 
-  DenseTableau<Cell> tableau;
+  DenseTableau tableau;
   tableau.num_cols = n + num_slack + num_artificial;
   tableau.is_artificial.assign(tableau.num_cols, false);
   for (int j = n + num_slack; j < tableau.num_cols; ++j) {
@@ -607,41 +712,38 @@ DenseTableau<Cell> BuildDenseTableau(const LinearSystem& system) {
   int next_slack = n;
   int next_artificial = n + num_slack;
   for (const LinearConstraint& constraint : constraints) {
-    std::vector<Cell> row(tableau.num_cols);
+    std::vector<Rational> row(tableau.num_cols);
     const bool flip = EntersNegated(constraint);
     for (const auto& [variable, coefficient] : constraint.expr.terms()) {
       CAR_CHECK_GE(variable, 0);
       CAR_CHECK_LT(variable, n);
-      row[variable] =
-          CellFromRational<Cell>(flip ? -coefficient : coefficient);
+      row[variable] = flip ? -coefficient : coefficient;
     }
     int basic = -1;
     switch (TableauRelation(constraint)) {
       case Relation::kLessEqual:
-        row[next_slack] = Cell(1);
+        row[next_slack] = Rational(1);
         basic = next_slack++;
         break;
       case Relation::kGreaterEqual:
-        row[next_slack] = Cell(-1);
+        row[next_slack] = Rational(-1);
         ++next_slack;
-        row[next_artificial] = Cell(1);
+        row[next_artificial] = Rational(1);
         basic = next_artificial++;
         break;
       case Relation::kEqual:
-        row[next_artificial] = Cell(1);
+        row[next_artificial] = Rational(1);
         basic = next_artificial++;
         break;
     }
     tableau.rows.push_back(std::move(row));
-    tableau.rhs.push_back(
-        CellFromRational<Cell>(flip ? -constraint.rhs : constraint.rhs));
+    tableau.rhs.push_back(flip ? -constraint.rhs : constraint.rhs);
     tableau.basis.push_back(basic);
   }
   return tableau;
 }
 
-template <typename Cell>
-Status RemoveArtificialsFromDenseBasis(DenseTableau<Cell>* tableau,
+Status RemoveArtificialsFromDenseBasis(DenseTableau* tableau,
                                        ExecContext* exec, size_t* pivots) {
   for (size_t i = 0; i < tableau->rows.size();) {
     if (!tableau->is_artificial[tableau->basis[i]]) {
@@ -669,53 +771,40 @@ Status RemoveArtificialsFromDenseBasis(DenseTableau<Cell>* tableau,
   return Status::Ok();
 }
 
-template <typename Cell>
-uint64_t DenseNonzeroCells(const DenseTableau<Cell>& tableau) {
-  uint64_t nonzeros = 0;
-  for (const std::vector<Cell>& row : tableau.rows) {
-    for (const Cell& cell : row) {
-      if (!cell.is_zero()) ++nonzeros;
-    }
-  }
-  return nonzeros;
-}
-
-/// The dense-kernel Maximize: identical control flow (and hence identical
-/// pivot sequence and answer) to the sparse production path, over dense
-/// rows of `Cell`.
-template <typename Cell>
+/// The dense-kernel Maximize: the control flow of a cold SolvePhases with
+/// Cleanup::kDropRedundantRows, over dense rows. Rational cells never
+/// promote, so its scalar_promotions stay 0.
 Result<LpResult> DenseMaximize(const SimplexSolver::Options& options,
                                const LinearSystem& system,
                                const LinearExpr& objective) {
   ExecContext* exec = options.exec;
   CAR_RETURN_IF_ERROR(GovCheck(exec, "simplex"));
-  const uint64_t promotions_before = Scalar::promotions_this_thread();
-  DenseTableau<Cell> tableau = BuildDenseTableau<Cell>(system);
+  DenseTableau tableau = BuildDenseTableau(system);
   CAR_RETURN_IF_ERROR(GovChargeBytes(
       exec,
       tableau.rows.size() * static_cast<uint64_t>(tableau.num_cols) *
-          sizeof(Cell),
+          sizeof(Rational),
       "simplex"));
   const int n = system.num_variables();
   LpResult result;
   auto finish = [&]() {
-    result.scalar_promotions =
-        Scalar::promotions_this_thread() - promotions_before;
-    result.tableau_nonzeros = DenseNonzeroCells(tableau);
+    for (const std::vector<Rational>& row : tableau.rows) {
+      for (const Rational& cell : row) {
+        if (!cell.is_zero()) ++result.tableau_nonzeros;
+      }
+    }
     result.tableau_cells =
         tableau.rows.size() * static_cast<uint64_t>(tableau.num_cols);
     if (exec != nullptr) {
-      exec->CountScalarPromotions(result.scalar_promotions);
       exec->RecordTableauFill(result.tableau_nonzeros, result.tableau_cells);
     }
   };
 
-  bool has_artificial = false;
-  for (bool flag : tableau.is_artificial) has_artificial |= flag;
-  if (has_artificial) {
-    std::vector<Cell> phase1_cost(tableau.num_cols);
+  if (std::find(tableau.is_artificial.begin(), tableau.is_artificial.end(),
+                true) != tableau.is_artificial.end()) {
+    std::vector<Rational> phase1_cost(tableau.num_cols);
     for (int j = 0; j < tableau.num_cols; ++j) {
-      if (tableau.is_artificial[j]) phase1_cost[j] = Cell(-1);
+      if (tableau.is_artificial[j]) phase1_cost[j] = Rational(-1);
     }
     CAR_ASSIGN_OR_RETURN(
         LpOutcome outcome,
@@ -732,24 +821,21 @@ Result<LpResult> DenseMaximize(const SimplexSolver::Options& options,
         RemoveArtificialsFromDenseBasis(&tableau, exec, &result.pivots));
   }
 
-  std::vector<Cell> phase2_cost(tableau.num_cols);
+  std::vector<Rational> phase2_cost(tableau.num_cols);
   for (const auto& [variable, coefficient] : objective.terms()) {
     CAR_CHECK_GE(variable, 0);
     CAR_CHECK_LT(variable, n);
-    phase2_cost[variable] = CellFromRational<Cell>(coefficient);
+    phase2_cost[variable] = coefficient;
   }
   CAR_ASSIGN_OR_RETURN(
-      LpOutcome outcome,
+      result.outcome,
       RunDenseSimplex(&tableau, phase2_cost, /*allow_artificial=*/false,
                       options.max_pivots, exec, &result.pivots));
-  result.outcome = outcome;
   result.values.assign(n, Rational());
   for (size_t i = 0; i < tableau.rows.size(); ++i) {
-    if (tableau.basis[i] < n) {
-      result.values[tableau.basis[i]] = CellToRational(tableau.rhs[i]);
-    }
+    if (tableau.basis[i] < n) result.values[tableau.basis[i]] = tableau.rhs[i];
   }
-  result.objective = CellToRational(DenseObjectiveValue(tableau, phase2_cost));
+  result.objective = DenseObjectiveValue(tableau, phase2_cost);
   finish();
   return result;
 }
@@ -774,8 +860,6 @@ const char* SimplexKernelToString(SimplexKernel kernel) {
       return "sparse-scalar";
     case SimplexKernel::kDenseRational:
       return "dense-rational";
-    case SimplexKernel::kDenseScalar:
-      return "dense-scalar";
   }
   return "unknown";
 }
@@ -818,79 +902,12 @@ bool ValidateInfeasibilityCertificate(
 
 Result<LpResult> SimplexSolver::Maximize(const LinearSystem& system,
                                          const LinearExpr& objective) const {
-  switch (options_.kernel) {
-    case SimplexKernel::kDenseRational:
-      return DenseMaximize<Rational>(options_, system, objective);
-    case SimplexKernel::kDenseScalar:
-      return DenseMaximize<Scalar>(options_, system, objective);
-    case SimplexKernel::kSparseScalar:
-      break;
+  if (options_.kernel == SimplexKernel::kDenseRational) {
+    return DenseMaximize(options_, system, objective);
   }
-
-  CAR_RETURN_IF_ERROR(GovCheck(options_.exec, "simplex"));
-  const uint64_t promotions_before = Scalar::promotions_this_thread();
-  SparseTableau tableau = BuildTableau(system);
-  // The tableau is the dominant allocation of a solve; charge its
-  // nonzero storage (the whole point of the sparse kernel is that this
-  // is far below rows * cols).
-  CAR_RETURN_IF_ERROR(
-      GovChargeBytes(options_.exec, NonzeroBytes(tableau), "simplex"));
-  const int n = system.num_variables();
-  LpResult result;
-  auto finish = [&]() {
-    result.scalar_promotions =
-        Scalar::promotions_this_thread() - promotions_before;
-    result.tableau_nonzeros = NonzeroCells(tableau);
-    result.tableau_cells = DenseExtent(tableau);
-    if (options_.exec != nullptr) {
-      options_.exec->CountScalarPromotions(result.scalar_promotions);
-      options_.exec->RecordTableauFill(result.tableau_nonzeros,
-                                       result.tableau_cells);
-    }
-  };
-
-  // Phase 1: maximize minus the sum of artificial variables.
-  bool has_artificial = false;
-  for (bool flag : tableau.is_artificial) has_artificial |= flag;
-  if (has_artificial) {
-    std::vector<Scalar> phase1_cost(tableau.num_cols);
-    for (int j = 0; j < tableau.num_cols; ++j) {
-      if (tableau.is_artificial[j]) phase1_cost[j] = Scalar(-1);
-    }
-    CAR_ASSIGN_OR_RETURN(
-        LpOutcome outcome,
-        RunSimplex(&tableau, phase1_cost, /*allow_artificial=*/true,
-                   options_.max_pivots, options_.exec, &result.pivots));
-    CAR_CHECK(outcome == LpOutcome::kOptimal)
-        << "phase 1 cannot be unbounded";
-    if (!ObjectiveValue(tableau, phase1_cost).is_zero()) {
-      result.outcome = LpOutcome::kInfeasible;
-      if (options_.extract_certificate) {
-        result.infeasibility_certificate = ExtractFarkasCertificate(tableau);
-      }
-      finish();
-      return result;
-    }
-    CAR_RETURN_IF_ERROR(RemoveArtificialsFromBasis(&tableau, options_.exec,
-                                                   &result.pivots));
-  }
-
-  // Phase 2: maximize the real objective.
-  std::vector<Scalar> phase2_cost(tableau.num_cols);
-  for (const auto& [variable, coefficient] : objective.terms()) {
-    CAR_CHECK_GE(variable, 0);
-    CAR_CHECK_LT(variable, n);
-    phase2_cost[variable] = Scalar(coefficient);
-  }
-  CAR_ASSIGN_OR_RETURN(
-      LpOutcome outcome,
-      RunSimplex(&tableau, phase2_cost, /*allow_artificial=*/false,
-                 options_.max_pivots, options_.exec, &result.pivots));
-  result.outcome = outcome;
-  result.values = ExtractSolution(tableau, n);
-  result.objective = ObjectiveValue(tableau, phase2_cost).ToRational();
-  finish();
-  return result;
+  SparseTableau tableau;
+  return SolveCold(system, objective, Cleanup::kDropRedundantRows, options_,
+                   &tableau);
 }
 
 Result<LpResult> SimplexSolver::CheckFeasible(
@@ -902,68 +919,13 @@ Result<LpResult> SimplexSolver::SolveForSnapshot(
     const LinearSystem& system, const LinearExpr& objective,
     SimplexSnapshot* snapshot) const {
   CAR_CHECK(snapshot != nullptr);
-  CAR_RETURN_IF_ERROR(GovCheck(options_.exec, "simplex"));
-  const uint64_t promotions_before = Scalar::promotions_this_thread();
-  SparseTableau tableau = BuildTableau(system);
-  CAR_RETURN_IF_ERROR(
-      GovChargeBytes(options_.exec, NonzeroBytes(tableau), "simplex"));
+  SparseTableau tableau;
+  CAR_ASSIGN_OR_RETURN(LpResult result,
+                       SolveCold(system, objective,
+                                 Cleanup::kParkRedundantRows, options_,
+                                 &tableau));
+  if (result.outcome == LpOutcome::kInfeasible) return result;
   const int n = system.num_variables();
-  LpResult result;
-  auto finish = [&]() {
-    result.scalar_promotions =
-        Scalar::promotions_this_thread() - promotions_before;
-    result.tableau_nonzeros = NonzeroCells(tableau);
-    result.tableau_cells = DenseExtent(tableau);
-    if (options_.exec != nullptr) {
-      options_.exec->CountScalarPromotions(result.scalar_promotions);
-      options_.exec->RecordTableauFill(result.tableau_nonzeros,
-                                       result.tableau_cells);
-    }
-  };
-
-  bool has_artificial = false;
-  for (bool flag : tableau.is_artificial) has_artificial |= flag;
-  if (has_artificial) {
-    std::vector<Scalar> phase1_cost(tableau.num_cols);
-    for (int j = 0; j < tableau.num_cols; ++j) {
-      if (tableau.is_artificial[j]) phase1_cost[j] = Scalar(-1);
-    }
-    CAR_ASSIGN_OR_RETURN(
-        LpOutcome outcome,
-        RunSimplex(&tableau, phase1_cost, /*allow_artificial=*/true,
-                   options_.max_pivots, options_.exec, &result.pivots));
-    CAR_CHECK(outcome == LpOutcome::kOptimal)
-        << "phase 1 cannot be unbounded";
-    if (!ObjectiveValue(tableau, phase1_cost).is_zero()) {
-      result.outcome = LpOutcome::kInfeasible;
-      if (options_.extract_certificate) {
-        result.infeasibility_certificate = ExtractFarkasCertificate(tableau);
-      }
-      finish();
-      return result;
-    }
-    // Unlike Maximize, keep redundant rows: a later delta may hand them
-    // nonzero columns, and the snapshot's row indices must stay aligned
-    // with the system's constraint indices.
-    CAR_RETURN_IF_ERROR(
-        ParkOrEvictArtificials(&tableau, options_.exec, &result.pivots));
-  }
-
-  std::vector<Scalar> phase2_cost(tableau.num_cols);
-  for (const auto& [variable, coefficient] : objective.terms()) {
-    CAR_CHECK_GE(variable, 0);
-    CAR_CHECK_LT(variable, n);
-    phase2_cost[variable] = Scalar(coefficient);
-  }
-  CAR_ASSIGN_OR_RETURN(
-      LpOutcome outcome,
-      RunSimplex(&tableau, phase2_cost, /*allow_artificial=*/false,
-                 options_.max_pivots, options_.exec, &result.pivots));
-  result.outcome = outcome;
-  result.values = ExtractSolution(tableau, n);
-  result.objective = ObjectiveValue(tableau, phase2_cost).ToRational();
-  finish();
-
   snapshot->col_of_var.resize(n);
   snapshot->var_of_col.assign(tableau.num_cols, -1);
   for (int v = 0; v < n; ++v) {
@@ -1160,81 +1122,32 @@ Result<LpResult> SimplexSolver::ResumeMaximize(
   }
   snapshot->num_constraints = old_num_rows + delta.new_constraints.size();
 
+  // Every exit from here on, a trip included, hands the tableau back to
+  // the snapshot.
   const uint64_t bytes_after = NonzeroBytes(tableau);
-  CAR_RETURN_IF_ERROR(GovChargeBytes(
+  Status status = GovChargeBytes(
       options_.exec,
       bytes_after > bytes_before ? bytes_after - bytes_before : 0,
-      "simplex"));
-
+      "simplex");
   LpResult result;
-  auto finish = [&]() {
-    result.scalar_promotions =
-        Scalar::promotions_this_thread() - promotions_before;
-    result.tableau_nonzeros = NonzeroCells(tableau);
-    result.tableau_cells = DenseExtent(tableau);
-    if (options_.exec != nullptr) {
-      options_.exec->CountScalarPromotions(result.scalar_promotions);
-      options_.exec->RecordTableauFill(result.tableau_nonzeros,
-                                       result.tableau_cells);
-    }
-  };
-  auto park = [&]() {
-    // Evict parked artificials that a new column made live again before
-    // any pivoting: a basic artificial must stay at zero, which is only
-    // guaranteed while its row is all-zero over real columns.
-    Status parked =
-        ParkOrEvictArtificials(&tableau, options_.exec, &result.pivots);
-    if (!parked.ok()) TableauIntoSnapshot(std::move(tableau), snapshot);
-    return parked;
-  };
-  CAR_RETURN_IF_ERROR(park());
-
-  if (added_artificial) {
-    std::vector<Scalar> phase1_cost(tableau.num_cols);
-    for (int j = 0; j < tableau.num_cols; ++j) {
-      if (tableau.is_artificial[j]) phase1_cost[j] = Scalar(-1);
-    }
-    Result<LpOutcome> phase1 =
-        RunSimplex(&tableau, phase1_cost, /*allow_artificial=*/true,
-                   options_.max_pivots, options_.exec, &result.pivots);
-    if (!phase1.ok()) {
-      TableauIntoSnapshot(std::move(tableau), snapshot);
-      return phase1.status();
-    }
-    CAR_CHECK(phase1.value() == LpOutcome::kOptimal)
-        << "phase 1 cannot be unbounded";
-    if (!ObjectiveValue(tableau, phase1_cost).is_zero()) {
-      result.outcome = LpOutcome::kInfeasible;
-      finish();
-      TableauIntoSnapshot(std::move(tableau), snapshot);
-      return result;
-    }
-    CAR_RETURN_IF_ERROR(park());
+  // Evict parked artificials that a new column made live again before
+  // any pivoting: a basic artificial must stay at zero, which is only
+  // guaranteed while its row is all-zero over real columns.
+  if (status.ok()) {
+    status = ParkOrEvictArtificials(&tableau, options_.exec, &result.pivots);
   }
-
-  const int num_vars = snapshot->num_variables();
-  std::vector<Scalar> phase2_cost(tableau.num_cols);
-  for (const auto& [variable, coefficient] : objective.terms()) {
-    CAR_CHECK_GE(variable, 0);
-    CAR_CHECK_LT(variable, num_vars);
-    phase2_cost[snapshot->col_of_var[variable]] = Scalar(coefficient);
+  if (status.ok()) {
+    PhasePlan plan;
+    plan.run_phase1 = added_artificial;
+    plan.cleanup = Cleanup::kParkRedundantRows;
+    plan.col_of_var = &snapshot->col_of_var;
+    plan.var_of_col = &snapshot->var_of_col;
+    plan.num_variables = snapshot->num_variables();
+    status = SolvePhases(&tableau, objective, plan, options_,
+                         promotions_before, &result);
   }
-  Result<LpOutcome> phase2 =
-      RunSimplex(&tableau, phase2_cost, /*allow_artificial=*/false,
-                 options_.max_pivots, options_.exec, &result.pivots);
-  if (!phase2.ok()) {
-    TableauIntoSnapshot(std::move(tableau), snapshot);
-    return phase2.status();
-  }
-  result.outcome = phase2.value();
-  result.objective = ObjectiveValue(tableau, phase2_cost).ToRational();
-  result.values.assign(num_vars, Rational());
-  for (size_t i = 0; i < tableau.rows.size(); ++i) {
-    const int variable = snapshot->var_of_col[tableau.basis[i]];
-    if (variable >= 0) result.values[variable] = tableau.rhs[i].ToRational();
-  }
-  finish();
   TableauIntoSnapshot(std::move(tableau), snapshot);
+  CAR_RETURN_IF_ERROR(status);
   return result;
 }
 

@@ -16,20 +16,17 @@ namespace car {
 /// Which tableau representation a solve runs on.
 ///
 /// kSparseScalar is the production kernel: compressed sparse rows of
-/// word-sized Scalar cells. The dense kernels are retained as reference
-/// implementations — they follow the identical Bland pivot sequence over
-/// the identical exact values, so their results are bit-identical to the
-/// sparse kernel's — and exist for differential tests and for the
-/// dense-vs-sparse / bigint-vs-scalar cells of bench_pivot_kernel. Only
-/// Maximize/CheckFeasible honor the selection; the snapshot/resume paths
-/// always run the production sparse kernel.
+/// word-sized Scalar cells. kDenseRational is the reference
+/// implementation — it follows the identical Bland pivot sequence over the
+/// identical exact values, so its results are bit-identical to the sparse
+/// kernel's — kept as the differential oracle of the simplex tests and the
+/// baseline of bench_pivot_kernel. Only Maximize/CheckFeasible honor the
+/// selection; the snapshot/resume paths always run the sparse kernel.
 enum class SimplexKernel {
   /// Sparse rows, int64-fast-path exact scalars (production).
   kSparseScalar,
   /// Dense rows of BigInt-backed Rationals (the pre-optimization kernel).
   kDenseRational,
-  /// Dense rows of Scalar cells (isolates the scalar-layer win).
-  kDenseScalar,
 };
 
 const char* SimplexKernelToString(SimplexKernel kernel);

@@ -1,8 +1,7 @@
 #include "reasoner/query_text.h"
 
-#include <charconv>
+#include <optional>
 #include <sstream>
-#include <system_error>
 #include <utility>
 
 #include "base/strings.h"
@@ -42,15 +41,9 @@ Result<ImplicationQuery> ParseQueryTokens(
   };
   auto bound_of = [](const std::string& text) -> Result<uint64_t> {
     if (text == "inf") return Cardinality::kInfinity;
-    // from_chars, not stoull: stoull wraps "-1" to 2^64-1 instead of
-    // rejecting it, silently turning a typo into a huge bound.
-    uint64_t value = 0;
-    auto [end, ec] =
-        std::from_chars(text.data(), text.data() + text.size(), value);
-    if (ec != std::errc() || end != text.data() + text.size()) {
-      return InvalidArgument(StrCat("bad bound '", Elide(text), "'"));
-    }
-    return value;
+    std::optional<uint64_t> value = ParseUint64(text);
+    if (!value) return InvalidArgument(StrCat("bad bound '", Elide(text), "'"));
+    return *value;
   };
 
   ImplicationQuery query;

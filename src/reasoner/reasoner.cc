@@ -119,15 +119,9 @@ Result<bool> Reasoner::IsClassSatisfiable(ClassId class_id) {
   if (class_id < 0 || class_id >= schema_->num_classes()) {
     return NotFound(StrCat("class id ", class_id, " out of range"));
   }
-  if (options_.lazy_expansion) {
-    LazySeedStore seeds(schema_);
-    CAR_ASSIGN_OR_RETURN(
-        LazyOutcome lazy,
-        RunLazyExpansion(*schema_, {class_id}, nullptr, options_.expansion,
-                         options_.solver, options_.lazy, &seeds));
-    if (lazy.conclusive) return static_cast<bool>(lazy.class_satisfiable[class_id]);
-    // Inconclusive: fall through to the eager path.
-  }
+  CAR_ASSIGN_OR_RETURN(std::optional<LazyOutcome> lazy,
+                       LazyFirst(*schema_, {class_id}));
+  if (lazy) return static_cast<bool>(lazy->class_satisfiable[class_id]);
   CAR_RETURN_IF_ERROR(Prepare());
   return solution_->IsClassSatisfiable(class_id);
 }
@@ -166,29 +160,24 @@ Result<SatReport> Reasoner::CheckSchema() {
     if (options_.exec != nullptr) report.progress = options_.exec->progress();
     return report;
   };
-  if (options_.lazy_expansion) {
-    std::vector<ClassId> targets(schema_->num_classes());
-    for (ClassId c = 0; c < schema_->num_classes(); ++c) targets[c] = c;
-    LazySeedStore seeds(schema_);
-    Result<LazyOutcome> lazy =
-        RunLazyExpansion(*schema_, targets, nullptr, options_.expansion,
-                         options_.solver, options_.lazy, &seeds);
-    if (!lazy.ok()) return degrade(lazy.status());
-    if (lazy->conclusive) {
-      SatReport report = decided(lazy->class_satisfiable);
-      report.lazy = true;
-      report.num_compound_classes = lazy->compounds_materialized;
-      report.num_compound_attributes = lazy->compound_attributes;
-      report.num_compound_relations = lazy->compound_relations;
-      report.lp_solves = lazy->lp_solves;
-      report.fixpoint_rounds = lazy->fixpoint_rounds;
-      report.refinement_rounds = lazy->refinement_rounds;
-      report.compounds_materialized = lazy->compounds_materialized;
-      report.blocking_constraints = lazy->blocking_constraints;
-      report.certificate_closures = lazy->certificate_closures;
-      return report;
-    }
-    // Inconclusive: fall through to the eager path.
+  std::vector<ClassId> targets(schema_->num_classes());
+  for (ClassId c = 0; c < schema_->num_classes(); ++c) targets[c] = c;
+  Result<std::optional<LazyOutcome>> lazy = LazyFirst(*schema_, targets);
+  if (!lazy.ok()) return degrade(lazy.status());
+  if (lazy->has_value()) {
+    const LazyOutcome& outcome = **lazy;
+    SatReport report = decided(outcome.class_satisfiable);
+    report.lazy = true;
+    report.num_compound_classes = outcome.compounds_materialized;
+    report.num_compound_attributes = outcome.compound_attributes;
+    report.num_compound_relations = outcome.compound_relations;
+    report.lp_solves = outcome.lp_solves;
+    report.fixpoint_rounds = outcome.fixpoint_rounds;
+    report.refinement_rounds = outcome.refinement_rounds;
+    report.compounds_materialized = outcome.compounds_materialized;
+    report.blocking_constraints = outcome.blocking_constraints;
+    report.certificate_closures = outcome.certificate_closures;
+    return report;
   }
   Status prepared = Prepare();
   if (!prepared.ok()) return degrade(prepared);
@@ -204,19 +193,22 @@ Result<SatReport> Reasoner::CheckSchema() {
 Result<bool> Reasoner::AuxiliaryClassSatisfiable(const AuxClassProbe& probe) {
   CAR_ASSIGN_OR_RETURN(AuxiliarySchema extended,
                        BuildAuxiliarySchema(*schema_, probe));
-  if (options_.lazy_expansion) {
-    LazySeedStore seeds(&extended.schema);
-    CAR_ASSIGN_OR_RETURN(
-        LazyOutcome lazy,
-        RunLazyExpansion(extended.schema, {extended.aux}, nullptr,
-                         options_.expansion, options_.solver, options_.lazy,
-                         &seeds));
-    if (lazy.conclusive) {
-      return static_cast<bool>(lazy.class_satisfiable[extended.aux]);
-    }
-    // Inconclusive: fall through to the eager probe.
-  }
+  CAR_ASSIGN_OR_RETURN(std::optional<LazyOutcome> lazy,
+                       LazyFirst(extended.schema, {extended.aux}));
+  if (lazy) return static_cast<bool>(lazy->class_satisfiable[extended.aux]);
   return EagerClassSatisfiable(extended.schema, extended.aux, options_);
+}
+
+Result<std::optional<LazyOutcome>> Reasoner::LazyFirst(
+    const Schema& schema, const std::vector<ClassId>& targets) {
+  if (!options_.lazy_expansion) return std::optional<LazyOutcome>();
+  LazySeedStore seeds(&schema);
+  CAR_ASSIGN_OR_RETURN(
+      LazyOutcome lazy,
+      RunLazyExpansion(schema, targets, nullptr, options_.expansion,
+                       options_.solver, options_.lazy, &seeds));
+  if (!lazy.conclusive) return std::optional<LazyOutcome>();
+  return std::optional<LazyOutcome>(std::move(lazy));
 }
 
 Result<bool> Reasoner::DecideFromScratch(const ImplicationQuery& query) {

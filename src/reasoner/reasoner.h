@@ -250,6 +250,15 @@ class Reasoner {
   /// Lazily constructs the incremental session (options.incremental).
   IncrementalSession* GetIncrementalSession();
 
+  /// The lazy-first step of every from-scratch decision: under
+  /// options.lazy_expansion, runs the lazy engine on `schema` (this
+  /// reasoner's schema or a probe's extension of it) for `targets` with a
+  /// throwaway seed store. Returns the outcome when it is conclusive and
+  /// nullopt otherwise (lazy expansion off, or inconclusive), in which
+  /// case the caller decides eagerly.
+  Result<std::optional<LazyOutcome>> LazyFirst(
+      const Schema& schema, const std::vector<ClassId>& targets);
+
   /// The from-scratch prober: satisfiability of the probe's auxiliary
   /// class by a private expansion and solve of the extended schema (lazy
   /// first under options.lazy_expansion). Touches no cached state.

@@ -7,36 +7,6 @@
 
 namespace car {
 
-namespace {
-
-/// Mirrors EmitBoundPair of the Ψ builder (unnamed rows, like it), but
-/// appends the up to two constraints u * Var(C̄) <= sum <= v * Var(C̄) to
-/// `out` instead of a PsiSystem.
-void AppendBoundPair(int cc_variable, const LinearExpr& sum,
-                     const Cardinality& cardinality,
-                     std::vector<LinearConstraint>* out) {
-  if (cardinality.min() > 0) {
-    LinearConstraint lower;
-    lower.expr = sum;
-    lower.expr.Add(cc_variable,
-                   Rational(-static_cast<int64_t>(cardinality.min())));
-    lower.relation = Relation::kGreaterEqual;
-    lower.rhs = Rational(0);
-    out->push_back(std::move(lower));
-  }
-  if (cardinality.has_finite_max()) {
-    LinearConstraint upper;
-    upper.expr = sum;
-    upper.expr.Add(cc_variable,
-                   Rational(-static_cast<int64_t>(cardinality.max())));
-    upper.relation = Relation::kLessEqual;
-    upper.rhs = Rational(0);
-    out->push_back(std::move(upper));
-  }
-}
-
-}  // namespace
-
 UnsatProbe BuildUnsatProbe(const Expansion& partial, ClassId target) {
   UnsatProbe probe;
   probe.target = target;
@@ -58,7 +28,6 @@ Result<LpResult> SolveUnsatProbe(const UnsatProbe& probe,
   SimplexSolver::Options solver_options;
   solver_options.max_pivots = options.max_pivots;
   solver_options.exec = options.exec;
-  solver_options.kernel = SimplexKernel::kSparseScalar;
   solver_options.extract_certificate = true;
   return SimplexSolver(solver_options).CheckFeasible(probe.psi.system);
 }
@@ -71,15 +40,9 @@ Result<IncrementalPsiBase> BuildIncrementalPsiBaseStructure(
   IncrementalPsiBase base;
   base.psi = BuildFullPsiSystem(expansion);
 
-  base.cc_constrained.assign(expansion.compound_classes.size(), false);
-  for (const auto& [key, cardinality] : expansion.natt) {
-    (void)cardinality;
-    base.cc_constrained[key.second] = true;
-  }
-  for (const auto& [key, cardinality] : expansion.nrel) {
-    (void)cardinality;
-    base.cc_constrained[std::get<2>(key)] = true;
-  }
+  base.cc_constrained = ConstrainedCompounds(
+      expansion.natt, expansion.nrel, 0,
+      static_cast<int>(expansion.compound_classes.size()));
 
   // Recover the constraint-list position of every Natt/Nrel bound row by
   // replaying the builder's emission order: Natt entries in map order,
@@ -102,25 +65,9 @@ Result<IncrementalPsiBase> BuildIncrementalPsiBaseStructure(
                base.psi.system.constraints().size());
 
   // Support t-gadgets, exactly as SolvePsi emits them for the all-active
-  // round: t <= Var(C̄), t <= 1, objective Σ t.
-  base.t_var.assign(expansion.compound_classes.size(), -1);
-  for (size_t i = 0; i < expansion.compound_classes.size(); ++i) {
-    if (!base.cc_constrained[i]) continue;
-    int t = base.psi.system.AddVariable(std::string());
-    base.t_var[i] = t;
-    LinearConstraint below_var;
-    below_var.expr.Add(t, Rational(1));
-    below_var.expr.Add(base.psi.cc_var[i], Rational(-1));
-    below_var.relation = Relation::kLessEqual;
-    below_var.rhs = Rational(0);
-    base.psi.system.AddConstraint(std::move(below_var));
-    LinearConstraint below_one;
-    below_one.expr.Add(t, Rational(1));
-    below_one.relation = Relation::kLessEqual;
-    below_one.rhs = Rational(1);
-    base.psi.system.AddConstraint(std::move(below_one));
-    base.objective.Add(t, Rational(1));
-  }
+  // round.
+  base.objective =
+      AddSupportGadgets(base.cc_constrained, &base.psi, &base.t_var);
   return base;
 }
 
@@ -164,15 +111,8 @@ Result<PartialPsiResult> SolvePsiOverDelta(const Expansion& base,
   const int num_new_cr =
       static_cast<int>(delta.new_compound_relations.size());
 
-  std::vector<bool> new_constrained(num_new_cc, false);
-  for (const auto& [key, cardinality] : delta.new_natt) {
-    (void)cardinality;
-    new_constrained[key.second - num_base_cc] = true;
-  }
-  for (const auto& [key, cardinality] : delta.new_nrel) {
-    (void)cardinality;
-    new_constrained[std::get<2>(key) - num_base_cc] = true;
-  }
+  const std::vector<bool> new_constrained = ConstrainedCompounds(
+      delta.new_natt, delta.new_nrel, num_base_cc, num_new_cc);
 
   // --- Assemble the round-1 delta: new unknowns, extensions of base
   // rows whose sums gain new members, and the delta's own bound rows.
@@ -275,17 +215,9 @@ Result<PartialPsiResult> SolvePsiOverDelta(const Expansion& base,
   LinearExpr objective = psi_base.objective;
   for (int j = 0; j < num_new_cc; ++j) {
     if (new_t_var[j] < 0) continue;
-    LinearConstraint below_var;
-    below_var.expr.Add(new_t_var[j], Rational(1));
-    below_var.expr.Add(new_cc_var[j], Rational(-1));
-    below_var.relation = Relation::kLessEqual;
-    below_var.rhs = Rational(0);
-    round_delta.new_constraints.push_back(std::move(below_var));
-    LinearConstraint below_one;
-    below_one.expr.Add(new_t_var[j], Rational(1));
-    below_one.relation = Relation::kLessEqual;
-    below_one.rhs = Rational(1);
-    round_delta.new_constraints.push_back(std::move(below_one));
+    for (LinearConstraint& row : SupportGadget(new_t_var[j], new_cc_var[j])) {
+      round_delta.new_constraints.push_back(std::move(row));
+    }
     objective.Add(new_t_var[j], Rational(1));
   }
 
@@ -420,15 +352,8 @@ Result<IncrementalProbeResult> SolvePsiIncremental(
   const int num_new_cc = static_cast<int>(delta.new_compound_classes.size());
 
   // Only new compounds can contain the auxiliary class.
-  std::vector<bool> new_constrained(num_new_cc, false);
-  for (const auto& [key, cardinality] : delta.new_natt) {
-    (void)cardinality;
-    new_constrained[key.second - num_base_cc] = true;
-  }
-  for (const auto& [key, cardinality] : delta.new_nrel) {
-    (void)cardinality;
-    new_constrained[std::get<2>(key) - num_base_cc] = true;
-  }
+  const std::vector<bool> new_constrained = ConstrainedCompounds(
+      delta.new_natt, delta.new_nrel, num_base_cc, num_new_cc);
   bool any_constrained_aux = false;
   for (int j = 0; j < num_new_cc; ++j) {
     if (!delta.new_compound_classes[j].Contains(aux)) continue;

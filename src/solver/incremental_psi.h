@@ -117,9 +117,8 @@ struct UnsatProbe {
 UnsatProbe BuildUnsatProbe(const Expansion& partial, ClassId target);
 
 /// Solves the probe cold on the production sparse kernel with Farkas
-/// extraction enabled (extraction is only defined for cold tableaus, so
-/// the kernel choice in `options` is not honored here; outcomes are
-/// bit-identical regardless). kInfeasible results carry
+/// extraction enabled (extraction is only defined for cold tableaus).
+/// kInfeasible results carry
 /// LpResult::infeasibility_certificate, which the caller must re-validate
 /// with ValidateInfeasibilityCertificate before trusting.
 Result<LpResult> SolveUnsatProbe(const UnsatProbe& probe,

@@ -4,11 +4,9 @@
 
 namespace car {
 
-namespace {
-
-/// Emits u * Var(C̄) <= sum <= v * Var(C̄) as up to two constraints.
-void EmitBoundPair(int cc_variable, const LinearExpr& sum,
-                   const Cardinality& cardinality, PsiSystem* psi) {
+void AppendBoundPair(int cc_variable, const LinearExpr& sum,
+                     const Cardinality& cardinality,
+                     std::vector<LinearConstraint>* rows) {
   if (cardinality.min() > 0) {
     LinearConstraint lower;
     lower.expr = sum;
@@ -16,8 +14,7 @@ void EmitBoundPair(int cc_variable, const LinearExpr& sum,
                    Rational(-static_cast<int64_t>(cardinality.min())));
     lower.relation = Relation::kGreaterEqual;
     lower.rhs = Rational(0);
-    psi->system.AddConstraint(std::move(lower));
-    ++psi->num_disequations;
+    rows->push_back(std::move(lower));
   }
   if (cardinality.has_finite_max()) {
     LinearConstraint upper;
@@ -26,12 +23,53 @@ void EmitBoundPair(int cc_variable, const LinearExpr& sum,
                    Rational(-static_cast<int64_t>(cardinality.max())));
     upper.relation = Relation::kLessEqual;
     upper.rhs = Rational(0);
-    psi->system.AddConstraint(std::move(upper));
-    ++psi->num_disequations;
+    rows->push_back(std::move(upper));
   }
 }
 
-}  // namespace
+std::array<LinearConstraint, 2> SupportGadget(int t, int cc_variable) {
+  std::array<LinearConstraint, 2> gadget;
+  gadget[0].expr.Add(t, Rational(1));
+  gadget[0].expr.Add(cc_variable, Rational(-1));
+  gadget[0].relation = Relation::kLessEqual;
+  gadget[0].rhs = Rational(0);
+  gadget[1].expr.Add(t, Rational(1));
+  gadget[1].relation = Relation::kLessEqual;
+  gadget[1].rhs = Rational(1);
+  return gadget;
+}
+
+std::vector<bool> ConstrainedCompounds(
+    const std::map<std::pair<AttributeTerm, int>, Cardinality>& natt,
+    const std::map<std::tuple<RelationId, int, int>, Cardinality>& nrel,
+    int first, int count) {
+  std::vector<bool> constrained(static_cast<size_t>(count), false);
+  for (const auto& [key, cardinality] : natt) {
+    (void)cardinality;
+    constrained[static_cast<size_t>(key.second - first)] = true;
+  }
+  for (const auto& [key, cardinality] : nrel) {
+    (void)cardinality;
+    constrained[static_cast<size_t>(std::get<2>(key) - first)] = true;
+  }
+  return constrained;
+}
+
+LinearExpr AddSupportGadgets(const std::vector<bool>& cc_constrained,
+                             PsiSystem* psi, std::vector<int>* t_var) {
+  LinearExpr objective;
+  t_var->assign(psi->cc_var.size(), -1);
+  for (size_t i = 0; i < psi->cc_var.size(); ++i) {
+    if (psi->cc_var[i] < 0 || !cc_constrained[i]) continue;
+    const int t = psi->system.AddVariable(std::string());
+    (*t_var)[i] = t;
+    for (LinearConstraint& row : SupportGadget(t, psi->cc_var[i])) {
+      psi->system.AddConstraint(std::move(row));
+    }
+    objective.Add(t, Rational(1));
+  }
+  return objective;
+}
 
 PsiSystem BuildPsiSystem(const Expansion& expansion,
                          const std::vector<bool>& cc_active,
@@ -58,6 +96,8 @@ PsiSystem BuildPsiSystem(const Expansion& expansion,
     if (cr_active[i]) psi.cr_var[i] = psi.system.AddVariable(std::string());
   }
 
+  std::vector<LinearConstraint> rows;
+  rows.reserve(2 * (expansion.natt.size() + expansion.nrel.size()));
   // Natt constraints.
   for (const auto& [key, cardinality] : expansion.natt) {
     const auto& [term, compound_index] = key;
@@ -73,7 +113,7 @@ PsiSystem BuildPsiSystem(const Expansion& expansion,
         }
       }
     }
-    EmitBoundPair(psi.cc_var[compound_index], sum, cardinality, &psi);
+    AppendBoundPair(psi.cc_var[compound_index], sum, cardinality, &rows);
   }
 
   // Nrel constraints.
@@ -90,9 +130,11 @@ PsiSystem BuildPsiSystem(const Expansion& expansion,
         }
       }
     }
-    EmitBoundPair(psi.cc_var[compound_index], sum, cardinality, &psi);
+    AppendBoundPair(psi.cc_var[compound_index], sum, cardinality, &rows);
   }
 
+  psi.num_disequations = rows.size();
+  for (LinearConstraint& row : rows) psi.system.AddConstraint(std::move(row));
   return psi;
 }
 

@@ -1,6 +1,10 @@
 #ifndef CAR_SOLVER_PSI_H_
 #define CAR_SOLVER_PSI_H_
 
+#include <array>
+#include <map>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "expansion/expansion.h"
@@ -45,6 +49,40 @@ PsiSystem BuildPsiSystem(const Expansion& expansion,
 
 /// Convenience: the full system with every unknown active.
 PsiSystem BuildFullPsiSystem(const Expansion& expansion);
+
+/// The rows of every builder of Ψ and of its support LP — BuildPsiSystem,
+/// the support LP of SolvePsi and the incremental solver's base and delta
+/// systems — come from the three emitters below, so each row kind has one
+/// spelling and every builder emits the same LP.
+
+/// Appends the bound rows of one Natt/Nrel entry to `rows`:
+/// sum - u * Var(C̄) >= 0 iff u > 0, then sum - v * Var(C̄) <= 0 iff v is
+/// finite.
+void AppendBoundPair(int cc_variable, const LinearExpr& sum,
+                     const Cardinality& cardinality,
+                     std::vector<LinearConstraint>* rows);
+
+/// The support gadget of one constrained compound class with support
+/// variable t: t - Var(C̄) <= 0, then t <= 1.
+std::array<LinearConstraint, 2> SupportGadget(int t, int cc_variable);
+
+/// Which compound classes in [first, first + count) carry a Natt or Nrel
+/// entry of `natt`/`nrel` (an Expansion's maps, or an ExpansionDelta's
+/// new_natt/new_nrel, whose keys are global indices), indexed from
+/// `first`. Only these get a support gadget: the unknown of an
+/// unconstrained compound occurs in no disequation, so it is always
+/// supportable. The mask is intrinsic to each compound's members.
+std::vector<bool> ConstrainedCompounds(
+    const std::map<std::pair<AttributeTerm, int>, Cardinality>& natt,
+    const std::map<std::tuple<RelationId, int, int>, Cardinality>& nrel,
+    int first, int count);
+
+/// Appends to `psi` the support gadget of every active constrained
+/// compound class, in index order, each on a fresh unknown t, and returns
+/// the support objective Σ t. `t_var` receives each compound class's t,
+/// or -1 where it has no gadget.
+LinearExpr AddSupportGadgets(const std::vector<bool>& cc_constrained,
+                             PsiSystem* psi, std::vector<int>* t_var);
 
 }  // namespace car
 

@@ -4,7 +4,6 @@
 #include <mutex>
 #include <utility>
 
-#include "base/strings.h"
 #include "base/thread_pool.h"
 #include "solver/psi.h"
 
@@ -48,19 +47,12 @@ Result<PsiSolution> SolvePsi(const Expansion& expansion,
                              const PsiSolverOptions& options) {
   PsiSolution solution;
   solution.cc_active.assign(expansion.compound_classes.size(), true);
-  // Compound classes that appear in no Natt/Nrel entry have unconstrained
-  // unknowns: they are always supportable and need no t-gadget (their
-  // certificate count is fixed to 1 below). This keeps the support LP at
-  // the size of the *constrained* part of the system.
-  std::vector<bool> cc_constrained(expansion.compound_classes.size(), false);
-  for (const auto& [key, cardinality] : expansion.natt) {
-    (void)cardinality;
-    cc_constrained[key.second] = true;
-  }
-  for (const auto& [key, cardinality] : expansion.nrel) {
-    (void)cardinality;
-    cc_constrained[std::get<2>(key)] = true;
-  }
+  // Unconstrained compound classes need no t-gadget (their certificate
+  // count is fixed to 1 below). This keeps the support LP at the size of
+  // the *constrained* part of the system.
+  const std::vector<bool> cc_constrained = ConstrainedCompounds(
+      expansion.natt, expansion.nrel, 0,
+      static_cast<int>(expansion.compound_classes.size()));
   solution.ca_active.assign(expansion.compound_attributes.size(), true);
   solution.cr_active.assign(expansion.compound_relations.size(), true);
 
@@ -68,7 +60,6 @@ Result<PsiSolution> SolvePsi(const Expansion& expansion,
   SimplexSolver::Options simplex_options;
   simplex_options.max_pivots = options.max_pivots;
   simplex_options.exec = exec;
-  simplex_options.kernel = options.kernel;
   SimplexSolver simplex(simplex_options);
 
   std::vector<Rational> final_values;
@@ -86,25 +77,9 @@ Result<PsiSolution> SolvePsi(const Expansion& expansion,
     // Support-maximization variables: t_C̄ <= Var(C̄), t_C̄ <= 1, maximize
     // the sum of all t. At the optimum, t_C̄ = 1 exactly on the maximal
     // support and Var(C̄) >= 1 there.
-    LinearExpr objective;
-    std::vector<std::pair<size_t, int>> t_vars;  // (cc index, t variable).
-    for (size_t i = 0; i < solution.cc_active.size(); ++i) {
-      if (!solution.cc_active[i] || !cc_constrained[i]) continue;
-      int t = psi.system.AddVariable(StrCat("t#", i));
-      t_vars.emplace_back(i, t);
-      LinearConstraint below_var;
-      below_var.expr.Add(t, Rational(1));
-      below_var.expr.Add(psi.cc_var[i], Rational(-1));
-      below_var.relation = Relation::kLessEqual;
-      below_var.rhs = Rational(0);
-      psi.system.AddConstraint(std::move(below_var));
-      LinearConstraint below_one;
-      below_one.expr.Add(t, Rational(1));
-      below_one.relation = Relation::kLessEqual;
-      below_one.rhs = Rational(1);
-      psi.system.AddConstraint(std::move(below_one));
-      objective.Add(t, Rational(1));
-    }
+    std::vector<int> t_var;
+    const LinearExpr objective =
+        AddSupportGadgets(cc_constrained, &psi, &t_var);
 
     solution.largest_lp_variables =
         std::max(solution.largest_lp_variables,
@@ -128,11 +103,10 @@ Result<PsiSolution> SolvePsi(const Expansion& expansion,
 
     // New support: compound classes whose unknown is strictly positive.
     bool shrank = false;
-    for (const auto& [cc_index, t_var] : t_vars) {
-      (void)t_var;
-      const Rational& value = lp.values[psi.cc_var[cc_index]];
-      if (!value.is_positive()) {
-        solution.cc_active[cc_index] = false;
+    for (size_t i = 0; i < t_var.size(); ++i) {
+      if (t_var[i] < 0) continue;
+      if (!lp.values[psi.cc_var[i]].is_positive()) {
+        solution.cc_active[i] = false;
         shrank = true;
       }
     }

@@ -43,7 +43,7 @@ struct PsiSolution {
   size_t largest_lp_variables = 0;
   size_t largest_lp_constraints = 0;
   /// Scalar fast-path overflows promoted to BigInt form, summed over all
-  /// LP solves (0 for the dense-rational kernel).
+  /// LP solves.
   uint64_t scalar_promotions = 0;
   /// Largest final tableau across the LP solves, as nonzero cells and as
   /// dense extent (rows * columns); nonzeros/cells is the peak fill.
@@ -71,10 +71,6 @@ struct PsiSolverOptions {
   /// Results are identical for every value (LCM is associative and
   /// commutative; scaled counts are written to per-index slots).
   int num_threads = 1;
-  /// Tableau representation for the support LPs (see SimplexKernel).
-  /// Every kernel returns bit-identical results; the non-default kernels
-  /// exist for differential tests and benchmarks.
-  SimplexKernel kernel = SimplexKernel::kSparseScalar;
 };
 
 /// Decides satisfiability of every class of the expanded schema.

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <mutex>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -125,6 +127,18 @@ TEST(StringsTest, StripWhitespace) {
   EXPECT_EQ(StripWhitespace("\t\n a b \r"), "a b");
   EXPECT_EQ(StripWhitespace(""), "");
   EXPECT_EQ(StripWhitespace("   "), "");
+}
+
+TEST(StringsTest, ParseUint64AcceptsWholeDecimalsOnly) {
+  EXPECT_EQ(ParseUint64("0"), std::optional<uint64_t>(0));
+  EXPECT_EQ(ParseUint64("1024"), std::optional<uint64_t>(1024));
+  EXPECT_EQ(ParseUint64("18446744073709551615"),
+            std::optional<uint64_t>(std::numeric_limits<uint64_t>::max()));
+  // stoull would read "-1" as 2^64-1 and "12x" as 12.
+  for (const char* bad :
+       {"", "-1", "12x", "+5", " 7", "7 ", "18446744073709551616"}) {
+    EXPECT_EQ(ParseUint64(bad), std::nullopt) << "'" << bad << "'";
+  }
 }
 
 TEST(RngTest, DeterministicAcrossInstances) {

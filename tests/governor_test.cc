@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -176,6 +177,45 @@ TEST(ExecContextTest, ExpiredDeadlineTripsCheck) {
   LimitReport report = exec.report();
   EXPECT_EQ(report.kind, LimitKind::kDeadline);
   EXPECT_EQ(report.phase, "expansion");
+}
+
+// A negative budget counts as zero: the deadline has passed at once.
+TEST(ExecContextTest, NegativeDeadlineTripsCheck) {
+  for (std::chrono::milliseconds budget :
+       {std::chrono::milliseconds(-5), std::chrono::milliseconds::min()}) {
+    ExecContext exec;
+    exec.SetDeadlineAfter(budget);
+    EXPECT_EQ(exec.Check("expansion").code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(exec.report().kind, LimitKind::kDeadline);
+    EXPECT_EQ(exec.report().count, 0u);
+  }
+}
+
+// A budget past the clock's horizon sets no deadline, instead of
+// overflowing now + budget into one that trips at once.
+TEST(ExecContextTest, DeadlinePastClockHorizonIsNoDeadline) {
+  ExecContext exec;
+  exec.SetDeadlineAfter(std::chrono::milliseconds::max());
+  EXPECT_TRUE(exec.Check("expansion").ok());
+  // A charge this large consults the clock too.
+  EXPECT_TRUE(exec.ChargeWork(1 << 20, "expansion").ok());
+  EXPECT_FALSE(exec.tripped());
+}
+
+// The wire's uint64 deadlines saturate the same way, UINT64_MAX (which
+// used to wrap to a negative budget) included. A long deadline inside
+// the horizon is still a deadline that has not passed.
+TEST(AdmissionLimitsTest, HugeDeadlinesConfigureNoTrip) {
+  for (uint64_t deadline_ms :
+       {std::numeric_limits<uint64_t>::max(), uint64_t{1} << 63,
+        uint64_t{10000000000000}, uint64_t{100000000000}}) {
+    ExecContext exec;
+    AdmissionLimits limits;
+    limits.deadline_ms = deadline_ms;
+    limits.ConfigureContext(&exec);
+    EXPECT_TRUE(exec.Check("expansion").ok()) << deadline_ms;
+    EXPECT_FALSE(exec.tripped()) << deadline_ms;
+  }
 }
 
 TEST(ExecContextTest, OverridePhaseNormalizesTrippedReport) {

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <thread>
 #include <variant>
@@ -406,6 +407,27 @@ TEST(ServeAdmission, WorkBudgetCapsAreTightenedServerSide) {
   EXPECT_TRUE(answers->degraded);
   EXPECT_EQ(answers->limit_kind, LimitKind::kWorkBudget);
   EXPECT_TRUE(answers->answers.empty());
+}
+
+// A client's deadline past the clock's horizon means no deadline. It used
+// to overflow `now + budget` (UB), and UINT64_MAX wrapped to a negative
+// budget; both tripped the deadline at once.
+TEST(ServeAdmission, DeadlinePastClockHorizonAnswersExactly) {
+  Server server(ServerOptions{});
+  const Schema schema = testing_schemas::Figure2();
+  Response opened = Open(&server, "t", PrintSchema(schema));
+  ASSERT_TRUE(std::holds_alternative<OpenedResponse>(opened));
+  const std::vector<std::string> lines = MakeQueryLines(schema, 77, 8);
+  for (uint64_t deadline_ms :
+       {std::numeric_limits<uint64_t>::max(), uint64_t{10000000000000}}) {
+    AdmissionLimits limits;
+    limits.deadline_ms = deadline_ms;
+    Response response = Query(&server, "t", lines, limits);
+    auto* answers = std::get_if<AnswersResponse>(&response);
+    ASSERT_NE(answers, nullptr) << deadline_ms;
+    EXPECT_FALSE(answers->degraded) << deadline_ms;
+    EXPECT_EQ(answers->answers, OfflineAnswers(schema, lines)) << deadline_ms;
+  }
 }
 
 TEST(ServeQuery, NegativeBoundIsRejected) {

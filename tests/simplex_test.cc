@@ -532,10 +532,14 @@ TEST(SimplexProperty, FeasibilityWitnessAlwaysValid) {
   EXPECT_GT(infeasible_count, 20);
 }
 
-/// Solves `system` under all three kernels — Maximize(`*objective`), or
-/// CheckFeasible when `objective` is null — and expects the dense
-/// reference kernels to match the sparse production kernel bit for bit:
-/// outcome, objective, vertex, pivot count and final nonzero pattern.
+/// Solves `system` on the sparse production kernel — Maximize(`*objective`),
+/// or CheckFeasible when `objective` is null — and expects
+///   - the dense-rational reference kernel to match it bit for bit:
+///     outcome, objective, vertex, pivot count and final nonzero pattern;
+///   - SolveForSnapshot, the same two-phase driver parking redundant rows
+///     instead of dropping them, to match it on outcome, objective,
+///     vertex, pivot count and scalar promotions (its final tableau keeps
+///     the parked rows, so the tableau sizes differ by design).
 /// Returns the sparse result.
 LpResult ExpectKernelsAgree(const LinearSystem& system,
                             const LinearExpr* objective) {
@@ -549,29 +553,35 @@ LpResult ExpectKernelsAgree(const LinearSystem& system,
   Result<LpResult> sparse = solve(SimplexKernel::kSparseScalar);
   EXPECT_TRUE(sparse.ok());
   if (!sparse.ok()) return LpResult();
-  for (SimplexKernel kernel :
-       {SimplexKernel::kDenseRational, SimplexKernel::kDenseScalar}) {
-    Result<LpResult> dense = solve(kernel);
-    EXPECT_TRUE(dense.ok());
-    if (!dense.ok()) continue;
-    EXPECT_EQ(dense->outcome, sparse->outcome)
-        << SimplexKernelToString(kernel) << "\n" << system.ToString();
-    EXPECT_EQ(dense->objective, sparse->objective)
-        << SimplexKernelToString(kernel) << "\n" << system.ToString();
-    EXPECT_EQ(dense->values, sparse->values)
-        << SimplexKernelToString(kernel) << "\n" << system.ToString();
-    EXPECT_EQ(dense->pivots, sparse->pivots)
-        << SimplexKernelToString(kernel) << "\n" << system.ToString();
+  Result<LpResult> dense = solve(SimplexKernel::kDenseRational);
+  EXPECT_TRUE(dense.ok());
+  if (dense.ok()) {
+    EXPECT_EQ(dense->outcome, sparse->outcome) << system.ToString();
+    EXPECT_EQ(dense->objective, sparse->objective) << system.ToString();
+    EXPECT_EQ(dense->values, sparse->values) << system.ToString();
+    EXPECT_EQ(dense->pivots, sparse->pivots) << system.ToString();
     // Zero-skipping is representation-level only: the final tableaus
     // hold the same nonzero pattern.
     EXPECT_EQ(dense->tableau_nonzeros, sparse->tableau_nonzeros)
-        << SimplexKernelToString(kernel) << "\n" << system.ToString();
+        << system.ToString();
+  }
+  SimplexSnapshot snapshot;
+  Result<LpResult> snapshotted = SimplexSolver().SolveForSnapshot(
+      system, objective == nullptr ? LinearExpr() : *objective, &snapshot);
+  EXPECT_TRUE(snapshotted.ok());
+  if (snapshotted.ok()) {
+    EXPECT_EQ(snapshotted->outcome, sparse->outcome) << system.ToString();
+    EXPECT_EQ(snapshotted->objective, sparse->objective) << system.ToString();
+    EXPECT_EQ(snapshotted->values, sparse->values) << system.ToString();
+    EXPECT_EQ(snapshotted->pivots, sparse->pivots) << system.ToString();
+    EXPECT_EQ(snapshotted->scalar_promotions, sparse->scalar_promotions)
+        << system.ToString();
   }
   return *sparse;
 }
 
-/// Property: the three tableau kernels (sparse-scalar production,
-/// dense-rational reference, dense-scalar reference) are bit-identical on
+/// Property: the two tableau kernels (sparse-scalar production,
+/// dense-rational reference) and the snapshot solve are bit-identical on
 /// random maximization problems — same outcome, same objective, same
 /// vertex, same pivot count. This is the exactness contract that lets the
 /// sparse/scalar optimization claim "answers unchanged by construction".
@@ -880,8 +890,7 @@ TEST(SimplexTest, ArtificialRemovalPivotsAreCountedAndCharged) {
   system.AddConstraint(Make({{y, -1}, {z, -1}}, Relation::kEqual, 0));
 
   for (SimplexKernel kernel :
-       {SimplexKernel::kSparseScalar, SimplexKernel::kDenseRational,
-        SimplexKernel::kDenseScalar}) {
+       {SimplexKernel::kSparseScalar, SimplexKernel::kDenseRational}) {
     ExecContext exec;
     SimplexSolver::Options options;
     options.kernel = kernel;

@@ -48,17 +48,17 @@
 
 #include <atomic>
 #include <cerrno>
-#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
-#include <system_error>
 #include <thread>
 #include <vector>
 
+#include "base/strings.h"
 #include "persist/snapshot_format.h"
 #include "serve/server.h"
 
@@ -104,20 +104,17 @@ int Usage() {
   return kExitUsage;
 }
 
-/// from_chars, not stoull: stoull wraps "--threads=-1" to 2^64-1 instead
-/// of rejecting it.
+/// Parses `--name=<uint64>` into `*value`; returns false (after printing
+/// a diagnostic) on malformed input.
 bool ParseUint64Flag(const std::string& arg, size_t prefix_len,
                      uint64_t* value) {
-  std::string_view text = std::string_view(arg).substr(prefix_len);
-  uint64_t parsed = 0;
-  auto [end, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), parsed);
-  if (ec != std::errc() || end != text.data() + text.size() ||
-      text.empty()) {
+  std::optional<uint64_t> parsed =
+      ParseUint64(std::string_view(arg).substr(prefix_len));
+  if (!parsed) {
     std::cerr << "bad flag value '" << arg << "'\n";
     return false;
   }
-  *value = parsed;
+  *value = *parsed;
   return true;
 }
 

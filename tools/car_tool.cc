@@ -55,17 +55,19 @@
 // 2 verdict unknown (a deadline/budget/limit tripped before the answer),
 // 3 usage or processing error.
 
-#include <chrono>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/analyzer.h"
+#include "base/exec_context.h"
 #include "base/hashing.h"
+#include "base/strings.h"
 #include "core/car.h"
 #include "persist/snapshot_format.h"
 #include "persist/snapshot_store.h"
@@ -107,15 +109,11 @@ uint64_t g_work_budget = 0;
 ExecContext g_exec;
 
 void ConfigureExecContext() {
-  if (g_deadline_ms > 0) {
-    g_exec.SetDeadlineAfter(std::chrono::milliseconds(g_deadline_ms));
-  }
-  if (g_memory_budget_mb > 0) {
-    g_exec.SetMemoryBudget(g_memory_budget_mb * 1024 * 1024);
-  }
-  if (g_work_budget > 0) {
-    g_exec.SetWorkBudget(g_work_budget);
-  }
+  AdmissionLimits limits;
+  limits.deadline_ms = g_deadline_ms;
+  limits.work_budget = g_work_budget;
+  limits.memory_budget_bytes = g_memory_budget_mb * 1024 * 1024;
+  limits.ConfigureContext(&g_exec);
   const char* inject = std::getenv("CAR_FAULT_INJECT");
   if (inject != nullptr && *inject != '\0') {
     g_exec.InjectTripAfter(std::strtoull(inject, nullptr, 10));
@@ -175,7 +173,8 @@ int Usage() {
          "                              (default \"default\")\n"
          "  --version                   print snapshot format/ABI, exit\n"
          "  --threads=N                 worker threads (1 = serial,\n"
-         "                              0 = hardware concurrency)\n"
+         "                              0 = hardware concurrency,\n"
+         "                              at most 1024)\n"
          "  --deadline-ms=N             abort after N milliseconds\n"
          "  --memory-budget-mb=N        bound tracked allocations to N MiB\n"
          "  --work-budget=N             bound abstract work units to N\n"
@@ -631,17 +630,14 @@ int SnapshotVerify(Schema& schema, const std::string& dir) {
 /// a diagnostic) on malformed input.
 bool ParseUint64Flag(const std::string& arg, size_t prefix_len,
                      uint64_t* value) {
-  try {
-    size_t consumed = 0;
-    std::string text = arg.substr(prefix_len);
-    unsigned long long parsed = std::stoull(text, &consumed);
-    if (consumed != text.size() || text.empty()) throw std::exception();
-    *value = parsed;
-    return true;
-  } catch (...) {
+  std::optional<uint64_t> parsed =
+      ParseUint64(std::string_view(arg).substr(prefix_len));
+  if (!parsed) {
     std::cerr << "bad flag value '" << arg << "'\n";
     return false;
   }
+  *value = *parsed;
+  return true;
 }
 
 int Run(int argc, char** argv) {
@@ -649,13 +645,11 @@ int Run(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--threads=", 0) == 0) {
-      try {
-        g_num_threads = std::stoi(arg.substr(10));
-      } catch (...) {
-        std::cerr << "bad --threads value '" << arg << "'\n";
+      uint64_t threads = 0;
+      if (!ParseUint64Flag(arg, 10, &threads) || threads > 1024) {
         return Usage();
       }
-      if (g_num_threads < 0) return Usage();
+      g_num_threads = static_cast<int>(threads);
       continue;
     }
     if (arg.rfind("--deadline-ms=", 0) == 0) {
